@@ -31,6 +31,7 @@
 #include "trace/multistride.hh"
 #include "trace/source.hh"
 #include "trace/vcm.hh"
+#include "util/buildinfo.hh"
 #include "util/threadpool.hh"
 
 namespace
@@ -143,6 +144,41 @@ BM_StreamingCcSimulator(benchmark::State &state, CacheScheme scheme)
         static_cast<std::int64_t>(state.iterations() * n));
 }
 BENCHMARK_CAPTURE(BM_StreamingCcSimulator, prime, CacheScheme::Prime);
+
+/**
+ * The production shape of a CC run: evaluatePoint and the sweep
+ * workers call simulateCc, which builds a fresh simulator per point,
+ * so every run starts from empty first-touch bookkeeping.  The other
+ * CC cases reuse one simulator through reset(), which keeps whatever
+ * capacity the previous iteration grew and so hides any per-run setup
+ * on the compulsory-miss path.  The trace is one VCM grid point of
+ * the paper sweep (m=5, B=2048, p_ds=0.2; R=8, two blocks).
+ */
+EvalRequest
+paperPointRequest()
+{
+    EvalRequest req;
+    req.bankBits = 5;
+    req.blockingFactor = 2048;
+    req.pDoubleStream = 0.2;
+    req.seed = 11;
+    return req;
+}
+
+void
+BM_FreshCcSimulator(benchmark::State &state, CacheScheme scheme)
+{
+    static const Trace trace = buildTraceArena(paperPointRequest()).cc;
+    const MachineParams machine = evalMachine(paperPointRequest());
+    const auto n = totalElements(trace);
+    for (auto _ : state)
+        benchmark::DoNotOptimize(simulateCc(machine, scheme, trace));
+    state.SetItemsProcessed(
+        static_cast<std::int64_t>(state.iterations() * n));
+    state.SetLabel(simdBackendLabel());
+}
+BENCHMARK_CAPTURE(BM_FreshCcSimulator, direct, CacheScheme::Direct);
+BENCHMARK_CAPTURE(BM_FreshCcSimulator, prime, CacheScheme::Prime);
 
 /**
  * Run batching on its target workload: a streaming constant-stride
@@ -385,4 +421,21 @@ BENCHMARK(BM_ThreadPoolSubmitDrain)->Arg(1)->Arg(4);
 
 } // namespace
 
-BENCHMARK_MAIN();
+int
+main(int argc, char **argv)
+{
+    // The JSON context's library_build_type is the benchmark
+    // library's own build, not this binary's; record our CMake build
+    // type (and the full build identity) so scripts/bench_to_json.py
+    // can store the one compare_bench.py's build-type guard needs.
+    benchmark::AddCustomContext("vcache_build_type",
+                                vcache::buildTypeName());
+    benchmark::AddCustomContext("vcache_build",
+                                vcache::buildInfoString());
+    benchmark::Initialize(&argc, argv);
+    if (benchmark::ReportUnrecognizedArguments(argc, argv))
+        return 1;
+    benchmark::RunSpecifiedBenchmarks();
+    benchmark::Shutdown();
+    return 0;
+}

@@ -52,6 +52,16 @@ def main(argv: list[str]) -> None:
         fail(f"cannot read {raw_path}: {err}")
 
     context = raw.get("context", {})
+    # micro_sim_throughput records our CMake build type as custom
+    # context; library_build_type is Google Benchmark's own build and
+    # says nothing about the code being measured.  A file without it
+    # stores null, which compare_bench.py's guard refuses to compare
+    # against a baseline that has a build type.
+    build_type = context.get("vcache_build_type")
+    if build_type is None:
+        print(f"bench_to_json: warning: {raw_path} has no "
+              f"context.vcache_build_type; build_type stored as null",
+              file=sys.stderr)
     benchmarks = raw.get("benchmarks", [])
     if not benchmarks:
         fail(f"{raw_path} has no 'benchmarks' array")
@@ -102,6 +112,14 @@ def main(argv: list[str]) -> None:
         "cc_prime_elements_per_s": rate_of("BM_TimedCcSimulator/prime"),
         "cc_streaming_elements_per_s":
             rate_of("BM_StreamingCcSimulator/prime"),
+        # A fresh simulator per run on a VCM paper point, as
+        # simulateCc builds one per grid point: unlike the reset()-
+        # reused cases above, this pays every run's setup and first-
+        # touch (compulsory-miss) bookkeeping.
+        "cc_fresh_direct_elements_per_s":
+            rate_of("BM_FreshCcSimulator/direct"),
+        "cc_fresh_prime_elements_per_s":
+            rate_of("BM_FreshCcSimulator/prime"),
         "mm_elements_per_s": rate_of("BM_TimedMmSimulator"),
         "functional_direct_elements_per_s":
             rate_of("BM_FunctionalDirectCache"),
@@ -154,7 +172,8 @@ def main(argv: list[str]) -> None:
             "host_name": context.get("host_name"),
             "num_cpus": context.get("num_cpus"),
             "mhz_per_cpu": context.get("mhz_per_cpu"),
-            "build_type": context.get("library_build_type"),
+            "build_type": build_type,
+            "build": context.get("vcache_build"),
             "simd_backend": simd_backend,
         },
         "summary": summary,

@@ -84,7 +84,10 @@ runGang(const MachineParams &base, CacheT &cache, TraceSource &source,
 
     // Functional state, shared across every lane (see gang.hh).
     const AddressLayout &layout = cache.addressLayout();
+    // Presized so compulsory misses never pay a rehash (see the
+    // CcSimulator constructor).
     FlatSet<Addr> touched;
+    touched.reserve(cache.numLines());
     SimResult shared;
     PendingCounts pend;
 

@@ -211,6 +211,33 @@ appendOpState(const Cache &cache, const VectorOp &op,
 }
 
 /**
+ * Lines the functional pass has brought in: a set for the walk's
+ * first-touch test, plus the same lines in first-touch order.  The
+ * set is presized for the whole cache, so while the footprint is
+ * small its slots are mostly empty; each live-point capture scans the
+ * dense `order` instead.
+ */
+struct TouchedLines
+{
+    FlatSet<Addr> set;
+    std::vector<Addr> order;
+
+    void
+    insert(Addr line)
+    {
+        if (set.insert(line))
+            order.push_back(line);
+    }
+
+    void
+    clear()
+    {
+        set.clear();
+        order.clear();
+    }
+};
+
+/**
  * Functionally walk one op: every load element probes the cache
  * (misses fill and update replacement exactly as the detailed
  * simulator would).  Stores never probe the cache (the write buffer
@@ -221,7 +248,7 @@ appendOpState(const Cache &cache, const VectorOp &op,
  * @return misses this op caused
  */
 std::uint64_t
-walkOp(Cache &cache, const VectorOp &op, FlatSet<Addr> &touched,
+walkOp(Cache &cache, const VectorOp &op, TouchedLines &touched,
        bool gang_warm)
 {
     const AddressLayout &layout = cache.addressLayout();
@@ -566,7 +593,9 @@ sampleCc(const MachineParams &machine, const CacheConfig &cache_config,
         return cache_or.error();
     const std::unique_ptr<Cache> cache = std::move(cache_or.value());
     const AddressLayout &layout = cache->addressLayout();
-    FlatSet<Addr> touched;
+    // Reserved once here; each round's clear() keeps the capacity.
+    TouchedLines touched;
+    touched.set.reserve(cache->numLines());
 
     std::vector<std::unique_ptr<CcSimulator>> sims;
     for (unsigned w = 0; w < std::max(opts.jobs, 1u); ++w) {
@@ -630,21 +659,21 @@ sampleCc(const MachineParams &machine, const CacheConfig &cache_config,
                     // superset of the actual re-touches is harmless
                     // (the simulator only consults the set for lines
                     // it accesses), and the interval filter is a
-                    // per-capture set scan instead of per-element
-                    // bookkeeping on the walk's hot path.
+                    // per-capture scan of the touched lines instead
+                    // of per-element bookkeeping on the walk's hot
+                    // path.
                     const std::vector<LineRange> ranges =
                         windowLineRanges(layout, trace, op_idx,
                                          lp.unitEnd);
-                    touched.forEach([&](Addr line) {
+                    for (const Addr line : touched.order) {
                         for (const LineRange &r : ranges) {
                             if (line >= r.lo && line <= r.hi) {
                                 lp.prewarmedLines.push_back(line);
-                                return;
+                                break;
                             }
                         }
-                    });
-                    // Hash-order iteration is deterministic, but
-                    // sorted lines make the journal rows canonical.
+                    }
+                    // Sorted lines make the journal rows canonical.
                     std::sort(lp.prewarmedLines.begin(),
                               lp.prewarmedLines.end());
                     if (journal)

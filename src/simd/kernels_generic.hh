@@ -26,16 +26,16 @@ strideLines(std::uint64_t base, std::int64_t stride, unsigned n,
             unsigned shift, std::uint64_t *lines)
 {
     const std::uint64_t s = static_cast<std::uint64_t>(stride);
+    // Each pack is computed afresh as base + (i + lane) * s rather
+    // than carried as a running vector induction: GCC's -O3 loop
+    // vectorizer mis-lowered the carried form (wrong lanes from the
+    // second pack on), and the closed form has no loop-carried state
+    // to get wrong.
+    const Lanes<W> offsets = Lanes<W>::iota() * Lanes<W>::broadcast(s);
     unsigned i = 0;
-    if (n >= W) {
-        Lanes<W> addr = Lanes<W>::broadcast(base) +
-                        Lanes<W>::iota() * Lanes<W>::broadcast(s);
-        const Lanes<W> step = Lanes<W>::broadcast(s * W);
-        for (; i + W <= n; i += W) {
-            (addr >> shift).store(lines + i);
-            addr = addr + step;
-        }
-    }
+    for (; i + W <= n; i += W)
+        ((Lanes<W>::broadcast(base + s * i) + offsets) >> shift)
+            .store(lines + i);
     for (; i < n; ++i)
         lines[i] = (base + s * i) >> shift;
 }

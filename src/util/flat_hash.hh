@@ -8,7 +8,15 @@
  * dominate the profile.  FlatSet/FlatMap store entries inline in one
  * power-of-two array with linear probing, so a lookup is a mix, a
  * mask and a short scan, and the only allocations ever made are the
- * doubling rehashes.
+ * doubling rehashes -- none at all once reserve() has sized the table
+ * for the run.
+ *
+ * FlatSet is the compact one: a slot is just the key, with the
+ * all-ones key as the empty marker (load <= 1/2, so chains stay
+ * short).  The all-ones key itself is still a legal member; it is
+ * carried out of band in a flag, the way TagArray keeps its sentinel
+ * line.  FlatMap keeps a per-slot used flag (load < 7/8) because its
+ * values make the slot wide anyway.
  *
  * Erase is tombstone-free: removing an entry backward-shifts the
  * following probe chain into the gap, so tables never degrade with
@@ -28,8 +36,12 @@
 #ifndef VCACHE_UTIL_FLAT_HASH_HH
 #define VCACHE_UTIL_FLAT_HASH_HH
 
+#include <algorithm>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -66,6 +78,9 @@ class FlatMap
     std::size_t size() const { return count; }
 
     bool empty() const { return count == 0; }
+
+    /** Slots allocated (grows by doubling; reserve() presizes). */
+    std::size_t capacity() const { return slots.size(); }
 
     /** Pointer to the mapped value, or nullptr when absent. */
     Value *
@@ -154,10 +169,26 @@ class FlatMap
         return true;
     }
 
+    /**
+     * Size the table so that `n` entries fit without a rehash.  Never
+     * shrinks; existing entries are kept.
+     */
+    void
+    reserve(std::size_t n)
+    {
+        // reserveOne() grows once (count + 1) * 8 >= capacity * 7.
+        const std::size_t want =
+            std::bit_ceil(std::max(kMinCapacity, n + n / 7 + 1));
+        if (want > slots.size())
+            rehash(want);
+    }
+
     /** Drop every entry but keep the table's capacity. */
     void
     clear()
     {
+        if (count == 0)
+            return;
         for (auto &s : slots) {
             s.used = false;
             s.value = Value{};
@@ -207,7 +238,14 @@ class FlatMap
         }
         if ((count + 1) * 8 < slots.size() * 7)
             return;
-        std::vector<Slot> old(slots.size() * 2);
+        rehash(slots.size() * 2);
+    }
+
+    /** Move every entry into a fresh table of `capacity` slots. */
+    void
+    rehash(std::size_t capacity)
+    {
+        std::vector<Slot> old(capacity);
         old.swap(slots);
         const std::size_t mask = slots.size() - 1;
         for (auto &s : old) {
@@ -227,45 +265,166 @@ class FlatMap
     [[no_unique_address]] Hash hash{};
 };
 
-/** Open-addressing hash set with inline storage. */
+/**
+ * Open-addressing hash set of unsigned integer keys, one key per
+ * slot (see the file comment for the empty-marker scheme).
+ */
 template <typename Key, typename Hash = FlatHash64>
 class FlatSet
 {
+    static_assert(std::is_unsigned_v<Key>,
+                  "FlatSet keys are unsigned integers (all-ones marks "
+                  "an empty slot)");
+
   public:
     FlatSet() = default;
 
-    std::size_t size() const { return table.size(); }
-    bool empty() const { return table.empty(); }
+    /** Number of live entries. */
+    std::size_t size() const { return count + (hasEmptyKey ? 1 : 0); }
+
+    bool empty() const { return size() == 0; }
+
+    /** Slots allocated (grows by doubling; reserve() presizes). */
+    std::size_t capacity() const { return slots.size(); }
 
     /** @return true if the key was newly inserted. */
     bool
-    insert(const Key &key)
+    insert(Key key)
     {
-        return table.insertOrAssign(key, Unit{});
+        if (key == kEmpty) {
+            const bool fresh = !hasEmptyKey;
+            hasEmptyKey = true;
+            return fresh;
+        }
+        if ((count + 1) * 2 > slots.size())
+            rehash(std::max(kMinCapacity, slots.size() * 2));
+        const std::size_t i = probe(key);
+        if (slots[i] == key)
+            return false;
+        slots[i] = key;
+        ++count;
+        return true;
     }
 
-    bool contains(const Key &key) const { return table.contains(key); }
+    bool
+    contains(Key key) const
+    {
+        if (key == kEmpty)
+            return hasEmptyKey;
+        return count != 0 && slots[probe(key)] == key;
+    }
 
     /** Remove a key; @return true if it was present. */
-    bool erase(const Key &key) { return table.erase(key); }
+    bool
+    erase(Key key)
+    {
+        if (key == kEmpty) {
+            const bool had = hasEmptyKey;
+            hasEmptyKey = false;
+            return had;
+        }
+        if (count == 0)
+            return false;
+        std::size_t gap = probe(key);
+        if (slots[gap] != key)
+            return false;
 
-    /** Drop every entry but keep the table's capacity. */
-    void clear() { table.clear(); }
+        // Tombstone-free removal, as in FlatMap::erase.
+        const std::size_t mask = slots.size() - 1;
+        std::size_t j = gap;
+        for (;;) {
+            j = (j + 1) & mask;
+            if (slots[j] == kEmpty)
+                break;
+            const std::size_t home = hash(slots[j]) & mask;
+            if (((j - home) & mask) >= ((j - gap) & mask)) {
+                slots[gap] = slots[j];
+                gap = j;
+            }
+        }
+        slots[gap] = kEmpty;
+        --count;
+        return true;
+    }
+
+    /**
+     * Size the table so that `n` entries fit without a rehash.  Never
+     * shrinks; existing entries are kept.
+     */
+    void
+    reserve(std::size_t n)
+    {
+        const std::size_t want = std::bit_ceil(std::max(kMinCapacity, 2 * n));
+        if (want > slots.size())
+            rehash(want);
+    }
+
+    /** Drop every entry but keep the table's capacity; O(1) when
+     *  already empty. */
+    void
+    clear()
+    {
+        if (count != 0)
+            std::fill(slots.begin(), slots.end(), kEmpty);
+        count = 0;
+        hasEmptyKey = false;
+    }
 
     /** Visit every key in unspecified order. */
     template <typename F>
     void
     forEach(F &&fn) const
     {
-        table.forEach([&fn](const Key &key, const Unit &) { fn(key); });
+        if (count != 0)
+            for (const Key key : slots)
+                if (key != kEmpty)
+                    fn(key);
+        if (hasEmptyKey)
+            fn(kEmpty);
     }
 
   private:
-    struct Unit
-    {
-    };
+    static constexpr Key kEmpty = std::numeric_limits<Key>::max();
+    static constexpr std::size_t kMinCapacity = 16;
 
-    FlatMap<Key, Unit, Hash> table;
+    /**
+     * Index of the key's slot if present, else of the empty slot
+     * where it would be inserted.  Requires a non-empty table and a
+     * key other than kEmpty.
+     */
+    std::size_t
+    probe(Key key) const
+    {
+        const std::size_t mask = slots.size() - 1;
+        std::size_t i = hash(key) & mask;
+        while (slots[i] != key && slots[i] != kEmpty)
+            i = (i + 1) & mask;
+        return i;
+    }
+
+    /** Move every key into a fresh table of `capacity` slots. */
+    void
+    rehash(std::size_t capacity)
+    {
+        std::vector<Key> old(capacity, kEmpty);
+        old.swap(slots);
+        const std::size_t mask = slots.size() - 1;
+        for (const Key key : old) {
+            if (key == kEmpty)
+                continue;
+            std::size_t i = hash(key) & mask;
+            while (slots[i] != kEmpty)
+                i = (i + 1) & mask;
+            slots[i] = key;
+        }
+    }
+
+    std::vector<Key> slots;
+    /** Live entries in `slots` (the out-of-band kEmpty excluded). */
+    std::size_t count = 0;
+    /** Whether the all-ones key itself is a member. */
+    bool hasEmptyKey = false;
+    [[no_unique_address]] Hash hash{};
 };
 
 } // namespace vcache

@@ -95,6 +95,35 @@ class BenchToJsonTest(unittest.TestCase):
         self.assertEqual(summary["mm_sampled_scalar_elements_per_s"],
                          1e8)
 
+    def test_build_type_is_ours_not_the_librarys(self):
+        raw = {
+            "context": {"library_build_type": "debug",
+                        "vcache_build_type": "Release",
+                        "vcache_build": "vcache abc123 (Release, "
+                                        "simd=avx2)"},
+            "benchmarks": [bench("BM_FreshCcSimulator/prime", 7e7, 1.0),
+                           bench("BM_FreshCcSimulator/direct", 6e7,
+                                 1.0)],
+        }
+        with tempfile.TemporaryDirectory() as d:
+            proc, out = run_script(raw, d)
+        self.assertEqual(proc.returncode, 0, proc.stderr)
+        self.assertEqual(out["context"]["build_type"], "Release")
+        self.assertIn("abc123", out["context"]["build"])
+        self.assertEqual(out["summary"]["cc_fresh_prime_elements_per_s"],
+                         7e7)
+        self.assertEqual(
+            out["summary"]["cc_fresh_direct_elements_per_s"], 6e7)
+
+    def test_missing_build_type_is_null_with_warning(self):
+        raw = {"context": {"library_build_type": "debug"},
+               "benchmarks": [bench("BM_X", 1.0, 1.0)]}
+        with tempfile.TemporaryDirectory() as d:
+            proc, out = run_script(raw, d)
+        self.assertEqual(proc.returncode, 0, proc.stderr)
+        self.assertIsNone(out["context"]["build_type"])
+        self.assertIn("vcache_build_type", proc.stderr)
+
 
 if __name__ == "__main__":
     unittest.main()

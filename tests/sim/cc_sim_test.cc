@@ -2,10 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <span>
+
 #include "core/defaults.hh"
 #include "sim/cc_sim.hh"
+#include "sim/gang.hh"
 #include "sim/runner.hh"
 #include "trace/multistride.hh"
+#include "trace/source.hh"
 #include "trace/vcm.hh"
 
 namespace vcache
@@ -88,6 +92,58 @@ TEST(CcSimulator, InterferenceMissCostsMemoryTime)
     EXPECT_EQ(r.compulsoryMisses, 2u);
     // The six interference misses stall t_m each.
     EXPECT_EQ(r.stallCycles, 6u * 16u);
+}
+
+/**
+ * The all-ones line is the first-touch set's empty-slot marker.  It
+ * must still classify compulsory exactly once -- on both solo engines,
+ * across reset(), and on the gang lanes -- and time exactly like an
+ * ordinary line in the same frame and bank.
+ */
+TEST(CcSimulator, AllOnesLineIsCompulsoryOnce)
+{
+    MachineParams m = paperMachineM32();
+    m.memoryTime = 16;
+    // ~0 and 8191 share direct frame 8191 and the last bank, as does
+    // the ordinary stand-in 16383.
+    const auto alternate = [](Addr a) {
+        Trace trace;
+        for (int i = 0; i < 8; ++i) {
+            VectorOp op;
+            op.first = VectorRef{i % 2 ? Addr{8191} : a, 1, 1};
+            trace.push_back(op);
+        }
+        return trace;
+    };
+    const Trace trace = alternate(~Addr{0});
+    const SimResult want =
+        simulateCc(m, CacheScheme::Direct, alternate(16383));
+    ASSERT_EQ(want.misses, 8u);
+    ASSERT_EQ(want.compulsoryMisses, 2u);
+
+    const auto expectSame = [&](const SimResult &r) {
+        EXPECT_EQ(r.misses, want.misses);
+        EXPECT_EQ(r.compulsoryMisses, want.compulsoryMisses);
+        EXPECT_EQ(r.stallCycles, want.stallCycles);
+        EXPECT_EQ(r.totalCycles, want.totalCycles);
+    };
+    for (const SimEngine engine : {SimEngine::Scalar, SimEngine::Auto}) {
+        CcSimulator sim(m, CacheScheme::Direct);
+        sim.setEngine(engine);
+        for (int round = 0; round < 2; ++round) {
+            SCOPED_TRACE(round);
+            expectSame(sim.run(trace));
+            sim.reset();
+        }
+    }
+
+    const GangLane lane{16, nullptr};
+    TraceVectorSource source(trace);
+    const auto gang = simulateCcGang(m, CacheScheme::Direct, source,
+                                     std::span(&lane, 1));
+    ASSERT_EQ(gang.size(), 1u);
+    ASSERT_TRUE(gang[0].ok());
+    expectSame(gang[0].value());
 }
 
 TEST(CcSimulator, WarmStripSkipsMemoryStartup)

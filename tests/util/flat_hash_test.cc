@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <unordered_map>
 #include <unordered_set>
@@ -51,6 +52,93 @@ TEST(FlatSet, GrowsAcrossRehash)
     for (std::uint64_t i = 0; i < kN; ++i)
         EXPECT_TRUE(set.contains(i * 0x10001));
     EXPECT_FALSE(set.contains(1));
+}
+
+TEST(FlatSet, ReserveAvoidsRehashAndKeepsEntries)
+{
+    FlatSet<std::uint64_t> set;
+    set.insert(5);
+    set.reserve(1000);
+    const std::size_t cap = set.capacity();
+    EXPECT_GE(cap, 2000u); // load stays <= 1/2
+    EXPECT_TRUE(set.contains(5));
+    for (std::uint64_t i = 0; i < 1000; ++i)
+        set.insert(i * 977);
+    EXPECT_EQ(set.capacity(), cap) << "reserved table rehashed";
+    // reserve() never shrinks.
+    set.reserve(1);
+    EXPECT_EQ(set.capacity(), cap);
+}
+
+TEST(FlatSet, ClearKeepsCapacity)
+{
+    FlatSet<std::uint64_t> set;
+    set.reserve(4096);
+    const std::size_t cap = set.capacity();
+    for (std::uint64_t i = 0; i < 3000; ++i)
+        set.insert(i);
+    set.insert(~std::uint64_t{0});
+    set.clear();
+    EXPECT_TRUE(set.empty());
+    EXPECT_EQ(set.capacity(), cap);
+    EXPECT_FALSE(set.contains(~std::uint64_t{0}));
+    EXPECT_FALSE(set.contains(17));
+    set.clear(); // clearing an empty table is a no-op
+    EXPECT_EQ(set.capacity(), cap);
+    EXPECT_TRUE(set.insert(17));
+}
+
+/**
+ * All-ones is the set's empty-slot marker, carried out of band: it
+ * must behave like any other key through every operation, and must
+ * not disturb the in-table keys around it.
+ */
+TEST(FlatSet, AllOnesKeyIsAnOrdinaryMember)
+{
+    constexpr std::uint64_t kOnes = ~std::uint64_t{0};
+    for (const bool reserved : {false, true}) {
+        FlatSet<std::uint64_t> set;
+        if (reserved)
+            set.reserve(64);
+        EXPECT_FALSE(set.contains(kOnes));
+        EXPECT_FALSE(set.erase(kOnes));
+        EXPECT_TRUE(set.insert(kOnes));
+        EXPECT_FALSE(set.insert(kOnes));
+        EXPECT_TRUE(set.contains(kOnes));
+        EXPECT_EQ(set.size(), 1u);
+        EXPECT_FALSE(set.empty());
+        for (std::uint64_t k = 0; k < 40; ++k)
+            set.insert(kOnes - 1 - k);
+        EXPECT_EQ(set.size(), 41u);
+
+        std::vector<std::uint64_t> seen;
+        set.forEach([&](std::uint64_t key) { seen.push_back(key); });
+        EXPECT_EQ(seen.size(), 41u);
+        EXPECT_EQ(std::count(seen.begin(), seen.end(), kOnes), 1);
+
+        EXPECT_TRUE(set.erase(kOnes));
+        EXPECT_FALSE(set.erase(kOnes));
+        EXPECT_FALSE(set.contains(kOnes));
+        EXPECT_EQ(set.size(), 40u);
+        for (std::uint64_t k = 0; k < 40; ++k)
+            EXPECT_TRUE(set.contains(kOnes - 1 - k)) << k;
+        seen.clear();
+        set.forEach([&](std::uint64_t key) { seen.push_back(key); });
+        EXPECT_EQ(std::count(seen.begin(), seen.end(), kOnes), 0);
+    }
+}
+
+TEST(FlatMap, ReserveAvoidsRehashAndKeepsEntries)
+{
+    FlatMap<std::uint64_t, int> map;
+    map[3] = 30;
+    map.reserve(700);
+    const std::size_t cap = map.capacity();
+    EXPECT_EQ(*map.find(3), 30);
+    for (std::uint64_t i = 0; i < 700; ++i)
+        map.insertOrAssign(i + 100, 1);
+    EXPECT_EQ(map.capacity(), cap) << "reserved table rehashed";
+    EXPECT_EQ(*map.find(3), 30);
 }
 
 TEST(FlatMap, OperatorIndexAndFind)
@@ -152,6 +240,40 @@ TEST(FlatMap, EraseBackwardShiftAcrossWraparound)
 }
 
 /**
+ * The same wraparound chains through the compact set, both at its
+ * minimum size and in a presized table where the chain crosses the
+ * end of a larger slot array.
+ */
+TEST(FlatSet, EraseBackwardShiftAcrossWraparound)
+{
+    // reserve(0) leaves the minimum 16-slot table.
+    for (const std::uint64_t reserved : {0ull, 1000ull}) {
+        FlatSet<std::uint64_t, IdentityHash> probe;
+        probe.reserve(reserved);
+        const std::uint64_t cap = probe.capacity();
+        // Keys homed on the last two slots; those homed on cap-1
+        // spill across the boundary into slots 0 and 1.
+        const std::uint64_t keys[] = {cap - 2, cap - 1, 2 * cap - 1,
+                                      3 * cap - 1};
+        for (const std::uint64_t victim : keys) {
+            FlatSet<std::uint64_t, IdentityHash> set;
+            set.reserve(reserved);
+            for (const std::uint64_t k : keys)
+                set.insert(k);
+            ASSERT_EQ(set.capacity(), cap);
+            EXPECT_TRUE(set.erase(victim));
+            EXPECT_FALSE(set.erase(victim));
+            for (const std::uint64_t k : keys)
+                EXPECT_EQ(set.contains(k), k != victim)
+                    << "key " << k << " erasing " << victim;
+            EXPECT_TRUE(set.insert(victim));
+            for (const std::uint64_t k : keys)
+                EXPECT_TRUE(set.contains(k)) << k;
+        }
+    }
+}
+
+/**
  * An entry whose home slot follows the gap around the wrap boundary
  * must NOT be shifted back (its probe distance does not reach the
  * gap); erasing slot 15 with an independent chain at 0 must leave
@@ -202,6 +324,49 @@ TEST(FlatHashDifferential, SetMatchesUnorderedSet)
     // Full-content sweep at the end.
     for (std::uint64_t key = 0; key < 4096; ++key)
         EXPECT_EQ(flat.contains(key), ref.count(key) > 0);
+    std::uint64_t seen = 0;
+    flat.forEach([&](std::uint64_t key) {
+        ++seen;
+        EXPECT_TRUE(ref.count(key)) << key;
+    });
+    EXPECT_EQ(seen, ref.size());
+}
+
+/**
+ * The same differential run on a presized set: the table never
+ * rehashes, so every chain lives its whole life in one slot array,
+ * and clear() must reset it without losing the reservation.
+ */
+TEST(FlatHashDifferential, ReservedSetMatchesUnorderedSet)
+{
+    Rng rng(4242);
+    FlatSet<std::uint64_t> flat;
+    flat.reserve(4096);
+    const std::size_t cap = flat.capacity();
+    std::unordered_set<std::uint64_t> ref;
+
+    for (int op = 0; op < 200000; ++op) {
+        // Keys near the top of the range include the all-ones marker.
+        std::uint64_t key = rng.uniformInt(0, 4095);
+        if (key >= 4000)
+            key = ~std::uint64_t{0} - (key - 4000);
+        const std::uint64_t what = rng.uniformInt(0, 99);
+        if (what < 55) {
+            EXPECT_EQ(flat.insert(key), ref.insert(key).second);
+        } else if (what < 85) {
+            EXPECT_EQ(flat.erase(key), ref.erase(key) > 0);
+        } else if (what < 99) {
+            EXPECT_EQ(flat.contains(key), ref.count(key) > 0);
+        } else {
+            flat.clear();
+            ref.clear();
+        }
+        ASSERT_EQ(flat.size(), ref.size());
+    }
+    EXPECT_EQ(flat.capacity(), cap);
+
+    for (const std::uint64_t key : ref)
+        EXPECT_TRUE(flat.contains(key)) << key;
     std::uint64_t seen = 0;
     flat.forEach([&](std::uint64_t key) {
         ++seen;
