@@ -32,6 +32,7 @@
 #include "trace/source.hh"
 #include "trace/vcm.hh"
 #include "util/buildinfo.hh"
+#include "util/flat_hash.hh"
 #include "util/threadpool.hh"
 
 namespace
@@ -179,6 +180,30 @@ BM_FreshCcSimulator(benchmark::State &state, CacheScheme scheme)
 }
 BENCHMARK_CAPTURE(BM_FreshCcSimulator, direct, CacheScheme::Direct);
 BENCHMARK_CAPTURE(BM_FreshCcSimulator, prime, CacheScheme::Prime);
+
+/**
+ * The first-touch set alone, as a CC run drives it: a fresh set
+ * presized for one cache's worth of lines takes that many first
+ * touches of a constant-stride stream (the argument is the stride).
+ * Items are inserts.
+ */
+void
+BM_FirstTouchSet(benchmark::State &state)
+{
+    const std::uint64_t lines = std::uint64_t{1}
+                                << paperMachineM32().cacheIndexBits;
+    const auto stride = static_cast<std::uint64_t>(state.range(0));
+    for (auto _ : state) {
+        FlatSet<Addr> touched;
+        touched.reserve(lines);
+        for (std::uint64_t i = 0; i < lines; ++i)
+            touched.insert(0x10000 + i * stride);
+        benchmark::DoNotOptimize(touched.size());
+    }
+    state.SetItemsProcessed(
+        static_cast<std::int64_t>(state.iterations() * lines));
+}
+BENCHMARK(BM_FirstTouchSet)->Arg(1)->Arg(8191)->Arg(8192);
 
 /**
  * Run batching on its target workload: a streaming constant-stride
@@ -426,12 +451,17 @@ main(int argc, char **argv)
 {
     // The JSON context's library_build_type is the benchmark
     // library's own build, not this binary's; record our CMake build
-    // type (and the full build identity) so scripts/bench_to_json.py
-    // can store the one compare_bench.py's build-type guard needs.
+    // type, compiler and flags (and the full build identity) so
+    // scripts/bench_to_json.py can store what compare_bench.py's
+    // build guard needs.
     benchmark::AddCustomContext("vcache_build_type",
                                 vcache::buildTypeName());
     benchmark::AddCustomContext("vcache_build",
                                 vcache::buildInfoString());
+    benchmark::AddCustomContext("vcache_compiler",
+                                vcache::buildCompiler());
+    benchmark::AddCustomContext("vcache_cxx_flags",
+                                vcache::buildCxxFlags());
     benchmark::Initialize(&argc, argv);
     if (benchmark::ReportUnrecognizedArguments(argc, argv))
         return 1;

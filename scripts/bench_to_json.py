@@ -52,16 +52,21 @@ def main(argv: list[str]) -> None:
         fail(f"cannot read {raw_path}: {err}")
 
     context = raw.get("context", {})
-    # micro_sim_throughput records our CMake build type as custom
-    # context; library_build_type is Google Benchmark's own build and
-    # says nothing about the code being measured.  A file without it
-    # stores null, which compare_bench.py's guard refuses to compare
-    # against a baseline that has a build type.
-    build_type = context.get("vcache_build_type")
-    if build_type is None:
-        print(f"bench_to_json: warning: {raw_path} has no "
-              f"context.vcache_build_type; build_type stored as null",
-              file=sys.stderr)
+    # micro_sim_throughput records our CMake build type, compiler and
+    # effective flags as custom context; library_build_type is Google
+    # Benchmark's own build and says nothing about the code being
+    # measured.  A file without one of them stores null, which
+    # compare_bench.py's guard refuses to compare against a baseline
+    # that has the field.
+    stamped = {}
+    for field, key in (("build_type", "vcache_build_type"),
+                       ("compiler", "vcache_compiler"),
+                       ("flags", "vcache_cxx_flags")):
+        stamped[field] = context.get(key)
+        if stamped[field] is None:
+            print(f"bench_to_json: warning: {raw_path} has no "
+                  f"context.{key}; {field} stored as null",
+                  file=sys.stderr)
     benchmarks = raw.get("benchmarks", [])
     if not benchmarks:
         fail(f"{raw_path} has no 'benchmarks' array")
@@ -120,6 +125,14 @@ def main(argv: list[str]) -> None:
             rate_of("BM_FreshCcSimulator/direct"),
         "cc_fresh_prime_elements_per_s":
             rate_of("BM_FreshCcSimulator/prime"),
+        # The first-touch set on its own: one cache's worth of a
+        # strided stream into a fresh presized set, per stride.
+        "first_touch_set_s1_inserts_per_s":
+            rate_of("BM_FirstTouchSet/1"),
+        "first_touch_set_s8191_inserts_per_s":
+            rate_of("BM_FirstTouchSet/8191"),
+        "first_touch_set_s8192_inserts_per_s":
+            rate_of("BM_FirstTouchSet/8192"),
         "mm_elements_per_s": rate_of("BM_TimedMmSimulator"),
         "functional_direct_elements_per_s":
             rate_of("BM_FunctionalDirectCache"),
@@ -172,7 +185,9 @@ def main(argv: list[str]) -> None:
             "host_name": context.get("host_name"),
             "num_cpus": context.get("num_cpus"),
             "mhz_per_cpu": context.get("mhz_per_cpu"),
-            "build_type": build_type,
+            "build_type": stamped["build_type"],
+            "compiler": stamped["compiler"],
+            "flags": stamped["flags"],
             "build": context.get("vcache_build"),
             "simd_backend": simd_backend,
         },

@@ -12,9 +12,10 @@ status, overall pass/fail) for machine consumers: CI publishes it as
 an artifact and annotates the run from it instead of scraping stdout.
 
 Both files must have been measured under the same
-context.build_type; a Debug-vs-Release comparison is refused unless
-explicitly overridden, since optimizer differences dwarf any real
-regression.  The same rule applies to context.simd_backend: a
+context.build_type, context.compiler and context.flags; a
+Debug-vs-Release (or GCC-vs-Clang, or -O2-vs-O3) comparison is refused
+unless explicitly overridden, since optimizer differences dwarf any
+real regression.  The same rule applies to context.simd_backend: a
 forced-scalar run (VCACHE_SIMD=scalar) against an AVX2 baseline would
 read as a multi-x regression of the gang-probe benchmarks.
 
@@ -50,26 +51,31 @@ def load_doc(path: str) -> dict:
     return doc
 
 
+BUILD_FIELDS = ("build_type", "compiler", "flags")
+
+
 def check_build_types(base_doc: dict, curr_doc: dict,
                       base_path: str, curr_path: str,
                       allow_mismatch: bool) -> None:
-    """Refuse Debug-vs-Release comparisons: a debug candidate against a
+    """Refuse comparisons across builds: a debug candidate against a
     release baseline reads as a catastrophic regression (and the other
-    way round silently waves a real one through)."""
-    base_bt = base_doc.get("context", {}).get("build_type")
-    curr_bt = curr_doc.get("context", {}).get("build_type")
-    if base_bt == curr_bt:
-        return
-    msg = (f"compare_bench: build_type mismatch: {base_path} is "
-           f"{base_bt!r} but {curr_path} is {curr_bt!r} -- rates are "
-           f"not comparable across build types")
-    if allow_mismatch:
-        print(msg + " (continuing: --allow-build-type-mismatch)",
+    way round silently waves a real one through); another compiler or
+    other flags shift rates the same way, only less visibly."""
+    for field in BUILD_FIELDS:
+        base_val = base_doc.get("context", {}).get(field)
+        curr_val = curr_doc.get("context", {}).get(field)
+        if base_val == curr_val:
+            continue
+        msg = (f"compare_bench: {field} mismatch: {base_path} is "
+               f"{base_val!r} but {curr_path} is {curr_val!r} -- rates "
+               f"are not comparable across builds")
+        if allow_mismatch:
+            print(msg + " (continuing: --allow-build-type-mismatch)",
+                  file=sys.stderr)
+            continue
+        print(msg + " (pass --allow-build-type-mismatch to override)",
               file=sys.stderr)
-        return
-    print(msg + " (pass --allow-build-type-mismatch to override)",
-          file=sys.stderr)
-    raise SystemExit(1)
+        raise SystemExit(1)
 
 
 def check_simd_backends(base_doc: dict, curr_doc: dict,
@@ -111,7 +117,8 @@ def main() -> int:
         "--allow-build-type-mismatch",
         action="store_true",
         help="warn instead of failing when the two files were "
-             "measured under different context.build_type values",
+             "measured under different context.build_type, "
+             "context.compiler or context.flags values",
     )
     parser.add_argument(
         "--allow-simd-backend-mismatch",
@@ -166,6 +173,8 @@ def main() -> int:
             "tolerance": args.tolerance,
             "build_type":
                 curr_doc.get("context", {}).get("build_type"),
+            "compiler": curr_doc.get("context", {}).get("compiler"),
+            "flags": curr_doc.get("context", {}).get("flags"),
             "simd_backend":
                 curr_doc.get("context", {}).get("simd_backend"),
             "compared": compared,

@@ -16,6 +16,15 @@
  *     (the "- t_m" in Equation (4));
  *   - writes drain through the write bus without stalling.
  *
+ * Bus inertness: without prefetching no read ever waits for a bus.
+ * Every read issues at the pipeline clock, and a read granted at
+ * cycle g leaves the clock at (bank issue >= g) + 1 > g, so the next
+ * read finds its bus free.  The NullObserver, Prefetching=false
+ * instantiation therefore takes bus = clock and never touches the
+ * BusSet; observed runs keep it so onBusWait still fires (with zero
+ * waits; tests/obs pins that).  Store drains never stall and nothing
+ * reads the write bus, so it is not modelled at all.
+ *
  * The per-element loop is a member template over the concrete cache
  * type *and* an Observer policy: run() dispatches once per run on the
  * paper's two mapping schemes (direct and prime), whose accesses then
@@ -48,11 +57,10 @@
  *     measured deltas replay exactly.
  *
  * Extrapolated passes credit result, clock and cache counters in
- * O(strips) or O(1) and re-reserve the write bus live (its wait
- * accounting evolves across passes); everything else is provably
- * unchanged.  Prefetch-enabled runs, instrumented runs and
- * SimEngine::Scalar always take the element-wise loop; equivalence is
- * pinned by tests/sim/batched_test.cc.
+ * O(strips) or O(1); everything else is provably unchanged.
+ * Prefetch-enabled runs, instrumented runs and SimEngine::Scalar
+ * always take the element-wise loop; equivalence is pinned by
+ * tests/sim/batched_test.cc.
  */
 
 #ifndef VCACHE_SIM_CC_SIM_HH
@@ -439,7 +447,11 @@ CcSimulator::accessElement(CacheT &cache, const AddressLayout &layout,
         // banks at streaming rate.
         if (first_touch)
             ++result.compulsoryMisses;
-        const Cycles bus = buses.reserveReadObserved(clock, obs);
+        // Bus inertness (file comment): only prefetches can make a
+        // read wait for a bus.
+        Cycles bus = clock;
+        if constexpr (Prefetching || Observer::kEnabled)
+            bus = buses.reserveReadObserved(clock, obs);
         const Cycles when = memory.issueObserved(addr, bus, obs);
         if constexpr (Observer::kEnabled)
             obs.onMiss(clock, line, frameIndexOf(cache, line),
@@ -521,88 +533,73 @@ CcSimulator::stripLoop(CacheT &cache, const VectorOp &op,
         // recordAccess totals); any miss bit drops the whole gang to
         // the element loop, which replays it in true issue order from
         // unchanged cache state.  Instrumented and prefetching runs
-        // keep the scalar loop: their per-element hooks observe every
+        // replay every element: their per-element hooks observe every
         // access.
-        if constexpr (!Prefetching && !Observer::kEnabled) {
-            if (gangReplay && cache.readHitsAreInert()) {
-                // Double-stream gangs interleave two streams into one
-                // mask, so halve the stream-1 gang to keep the total
-                // inside one mask.
-                const unsigned max_g = second ? kGang / 2 : kGang;
-                for (std::uint64_t i = 0; i < count;) {
-                    const unsigned g = static_cast<unsigned>(
-                        std::min<std::uint64_t>(max_g, count - i));
-                    std::uint32_t hits =
-                        probeStrideGang(cache, a1, s1, g);
-                    unsigned g2 = 0;
-                    Addr a2 = 0;
-                    if (second) {
-                        const std::uint64_t left =
-                            second->length > done + i
-                                ? second->length - (done + i)
-                                : 0;
-                        g2 = static_cast<unsigned>(
-                            std::min<std::uint64_t>(g, left));
-                        a2 = second->element(done + i);
-                        hits |= probeStrideGang(cache, a2, s2, g2)
-                                << g;
-                    }
-                    const unsigned total = g + g2;
-                    if (hits == simd::fullMask(total)) {
-                        cache.recordReadHits(total);
-                        result.hits += total;
-                        result.results += g;
-                        clock += total;
-                        i += g;
-                        a1 = static_cast<Addr>(
-                            static_cast<std::int64_t>(a1) + s1 * g);
-                        continue;
-                    }
-                    // Scalar replay of this gang, exactly the
-                    // element-at-a-time interleaving.
-                    for (unsigned j = 0; j < g; ++j) {
-                        accessElement<CacheT, Prefetching>(
-                            cache, layout, a1, result, obs,
-                            StreamOperand::First);
-                        if (second && done + i < second->length)
-                            accessElement<CacheT, Prefetching>(
-                                cache, layout, a2, result, obs,
-                                StreamOperand::Second);
-                        ++result.results;
-                        ++i;
-                        a1 = static_cast<Addr>(
-                            static_cast<std::int64_t>(a1) + s1);
-                        a2 = static_cast<Addr>(
-                            static_cast<std::int64_t>(a2) + s2);
-                    }
+        bool gang_probe = false;
+        if constexpr (!Prefetching && !Observer::kEnabled)
+            gang_probe = gangReplay && cache.readHitsAreInert();
+        // Double-stream gangs interleave two streams into one mask, so
+        // halve the stream-1 gang to keep the total inside one mask.
+        const std::uint64_t max_g =
+            !gang_probe ? count : second ? kGang / 2 : kGang;
+        Addr a2 = second ? second->element(done) : 0;
+        for (std::uint64_t i = 0; i < count;) {
+            const unsigned g = static_cast<unsigned>(
+                std::min<std::uint64_t>(max_g, count - i));
+            // A gang whose head misses is certain to replay
+            // element-wise, so skip its probe; at the strip head
+            // `warm` already holds that residency.
+            if (gang_probe && (i == 0 ? warm : containsWord(cache, a1))) {
+                std::uint32_t hits = probeStrideGang(cache, a1, s1, g);
+                unsigned g2 = 0;
+                if (second) {
+                    const std::uint64_t left =
+                        second->length > done + i
+                            ? second->length - (done + i)
+                            : 0;
+                    g2 = static_cast<unsigned>(
+                        std::min<std::uint64_t>(g, left));
+                    hits |= probeStrideGang(cache, a2, s2, g2) << g;
+                }
+                const unsigned total = g + g2;
+                if (hits == simd::fullMask(total)) {
+                    cache.recordReadHits(total);
+                    result.hits += total;
+                    result.results += g;
+                    clock += total;
+                    i += g;
+                    a1 = static_cast<Addr>(
+                        static_cast<std::int64_t>(a1) + s1 * g);
+                    a2 = static_cast<Addr>(
+                        static_cast<std::int64_t>(a2) + s2 * g);
+                    continue;
+                }
+            }
+            // Element-at-a-time replay in true issue order.
+            if (!second) {
+                for (unsigned j = 0; j < g; ++j, ++i) {
+                    accessElement<CacheT, Prefetching>(cache, layout, a1,
+                                                       result, obs);
+                    ++result.results;
+                    a1 = static_cast<Addr>(
+                        static_cast<std::int64_t>(a1) + s1);
                 }
                 continue;
             }
-        }
-
-        if (second) {
-            Addr a2 = second->element(done);
-            for (std::uint64_t i = 0; i < count; ++i) {
+            for (unsigned j = 0; j < g; ++j) {
                 accessElement<CacheT, Prefetching>(cache, layout, a1,
-                                               result, obs,
-                                               StreamOperand::First);
-                if (done + i < second->length)
-                    accessElement<CacheT, Prefetching>(cache, layout, a2,
                                                    result, obs,
-                                                   StreamOperand::Second);
+                                                   StreamOperand::First);
+                if (done + i < second->length)
+                    accessElement<CacheT, Prefetching>(
+                        cache, layout, a2, result, obs,
+                        StreamOperand::Second);
                 ++result.results;
+                ++i;
                 a1 = static_cast<Addr>(
                     static_cast<std::int64_t>(a1) + s1);
                 a2 = static_cast<Addr>(
                     static_cast<std::int64_t>(a2) + s2);
-            }
-        } else {
-            for (std::uint64_t i = 0; i < count; ++i) {
-                accessElement<CacheT, Prefetching>(cache, layout, a1,
-                                               result, obs);
-                ++result.results;
-                a1 = static_cast<Addr>(
-                    static_cast<std::int64_t>(a1) + s1);
             }
         }
     }
@@ -628,8 +625,6 @@ CcSimulator::runImpl(CacheT &cache, TraceSource &source, Observer &obs)
 
         stripLoop<CacheT, Prefetching>(cache, op, result, obs);
 
-        if (op.store)
-            buses.reserveWrites(clock, op.store->length);
         if constexpr (Observer::kEnabled)
             obs.onVectorOpEnd(clock);
     }
@@ -788,12 +783,6 @@ CcSimulator::runBatched(CacheT &cache, TraceSource &source,
         } else if (attemptVerify(cache, op, memo, result, obs)) {
             applyBatch(memo, result);
         }
-
-        // The write bus is re-reserved live even on extrapolated
-        // passes: its wait accounting depends on absolute time and
-        // evolves across passes, unlike everything the memo records.
-        if (op.store)
-            buses.reserveWrites(clock, op.store->length);
     }
 
     result.totalCycles = clock;

@@ -5,7 +5,6 @@
 #include "cache/cache.hh"
 #include "cache/direct.hh"
 #include "cache/prime.hh"
-#include "memory/bus.hh"
 #include "memory/interleaved.hh"
 #include "sim/cc_sim.hh"
 #include "util/flat_hash.hh"
@@ -40,7 +39,6 @@ struct LaneState
     Cycles cold = 0;
     Cycles warm = 0;
     std::uint64_t tm;
-    BusSet buses;
     InterleavedMemory memory;
     const CancelToken *cancel;
     bool dead = false;
@@ -106,6 +104,10 @@ runGang(const MachineParams &base, CacheT &cache, TraceSource &source,
         pend = PendingCounts{};
     };
 
+    // Every lane's banks share the base machine's bank bits and
+    // mapping, so one replica's bankOf() serves them all.
+    const InterleavedMemory &bank_map = states.front().memory;
+
     // One element, mirroring CcSimulator::accessElement for the
     // no-prefetch, blocking-miss, uninstrumented configuration.
     auto access = [&](Addr addr) {
@@ -119,15 +121,17 @@ runGang(const MachineParams &base, CacheT &cache, TraceSource &source,
         }
         ++shared.misses;
         if (touched.insert(line)) {
-            // Compulsory: the pipelined load consults each lane's bus
-            // and bank horizons at that lane's own clock.
+            // Compulsory: the pipelined load consults each lane's bank
+            // horizon at that lane's own clock.  No read ever waits
+            // for a bus without prefetching (see sim/cc_sim.hh), so
+            // the lanes carry no bus state.
             ++shared.compulsoryMisses;
             flushAll();
+            const std::uint64_t bank = bank_map.bankOf(addr);
             for (LaneState &l : states) {
                 if (l.dead)
                     continue;
-                const Cycles bus = l.buses.reserveRead(l.clock);
-                const Cycles when = l.memory.issue(addr, bus);
+                const Cycles when = l.memory.issueAtBank(bank, l.clock);
                 l.stall += when - l.clock;
                 l.clock = when + 1;
             }
@@ -187,14 +191,6 @@ runGang(const MachineParams &base, CacheT &cache, TraceSource &source,
                         static_cast<std::int64_t>(a1) + s1);
                 }
             }
-        }
-
-        if (op.store) {
-            flushAll();
-            for (LaneState &l : states)
-                if (!l.dead)
-                    l.buses.reserveWrites(l.clock,
-                                          op.store->length);
         }
     }
     flushAll();

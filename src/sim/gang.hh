@@ -16,18 +16,18 @@
  *   - blocking miss:    clock += 1 + t_m, stall += t_m
  *   - strip start-up:   clock += T_start(t_m) (warm strips credit t_m
  *                       back, Equation (4))
- *   - compulsory miss:  a bus grant + bank issue against the lane's
- *                       own clock (the only place absolute time
- *                       enters)
- *   - store drain:      a write-bus reservation at the lane's clock
+ *   - compulsory miss:  a bank issue against the lane's own clock
+ *                       (the only place absolute time enters; with
+ *                       no prefetching a read never waits for a bus,
+ *                       see sim/cc_sim.hh)
  *
  * The gang runner walks the op stream once, probing one shared cache,
  * and accumulates the shared events (ops, strips, hits, blocking
  * misses) as plain counts.  Lane clocks only materialize at the rare
- * clock-coupled events -- compulsory misses and stores -- where the
- * pending counts are flushed into every lane and each lane's own
- * BusSet / InterleavedMemory replica is driven exactly as the
- * element-wise simulator would drive it.  Each lane's SimResult is
+ * clock-coupled event -- a compulsory miss -- where the pending
+ * counts are flushed into every lane and each lane's own
+ * InterleavedMemory replica is driven exactly as the element-wise
+ * simulator would drive it.  Each lane's SimResult is
  * therefore bit-identical to a solo CcSimulator run of that t_m
  * (Auto, Scalar and the gang all pin to the same element-wise
  * semantics; tests/sim/gang_test.cc holds the line), at roughly the

@@ -27,6 +27,18 @@ buildTypeName()
     return VCACHE_BUILD_TYPE[0] != '\0' ? VCACHE_BUILD_TYPE : "unknown";
 }
 
+const char *
+buildCompiler()
+{
+    return VCACHE_BUILD_COMPILER;
+}
+
+const char *
+buildCxxFlags()
+{
+    return VCACHE_BUILD_CXX_FLAGS;
+}
+
 void
 setBuildInfoSimdProvider(const char *(*provider)())
 {

@@ -1,6 +1,7 @@
 /**
  * @file
- * Build identity: git hash, build type, and the active SIMD backend.
+ * Build identity: git hash, build type, compiler and flags, and the
+ * active SIMD backend.
  *
  * One string answers "which binary is this?" everywhere it matters:
  * `--version` on every ArgParser-driven tool, the serve handshake,
@@ -8,9 +9,9 @@
  * build must not be served by an incompatible one -- see
  * docs/SERVING.md).
  *
- * The git hash and build type are stamped at CMake configure time
- * (util/buildinfo_gen.hh); a source tree built without reconfiguring
- * after new commits reports the configure-time hash.  The SIMD
+ * The git hash, build type, compiler and flags are stamped at CMake
+ * configure time (util/buildinfo_gen.hh); a source tree built without
+ * reconfiguring after new commits reports the configure-time hash.  The SIMD
  * backend is resolved at runtime by simd/dispatch.cc, which registers
  * a provider here during static initialization -- util cannot link
  * against simd (simd sits above util), so the name arrives through
@@ -31,6 +32,13 @@ const char *buildGitHash();
 
 /** CMake build type ("Release", "RelWithDebInfo", ...). */
 const char *buildTypeName();
+
+/** Compiler id and version ("GNU 12.2.0", ...). */
+const char *buildCompiler();
+
+/** Effective C++ flags: CMAKE_CXX_FLAGS, the build type's flags and
+ *  the compile options every target gets. */
+const char *buildCxxFlags();
 
 /**
  * Register the lazy SIMD-backend-name provider (called by

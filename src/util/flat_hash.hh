@@ -6,10 +6,20 @@
  * chase per probe; on the per-element simulator path (touched-line
  * tracking, in-flight prefetch arrivals, 3C bookkeeping) those
  * dominate the profile.  FlatSet/FlatMap store entries inline in one
- * power-of-two array with linear probing, so a lookup is a mix, a
- * mask and a short scan, and the only allocations ever made are the
- * doubling rehashes -- none at all once reserve() has sized the table
- * for the run.
+ * power-of-two array with linear probing, so a lookup is a
+ * multiply, a shift and a short scan, and the only allocations ever
+ * made are the doubling rehashes -- none at all once reserve() has
+ * sized the table for the run.
+ *
+ * Slots are Fibonacci-hashed: a table of 2^k slots homes a key at the
+ * top k bits of hash(key), and the default hash is the multiply by
+ * 2^64/phi (0x9E3779B97F4A7C15).  The simulators' keys are line
+ * addresses of constant-stride streams, i.e. arithmetic progressions
+ * b + i*s, and by the three-distance theorem the fractional parts of
+ * i*s/phi fall into near-equal gaps, so such a stream spreads across
+ * the table almost without collisions (where a mixing hash would pay
+ * the birthday-paradox chains of random placement).  A custom Hash
+ * works too, but it is its *top* bits that pick the slot.
  *
  * FlatSet is the compact one: a slot is just the key, with the
  * all-ones key as the empty marker (load <= 1/2, so chains stay
@@ -26,11 +36,13 @@
  *
  * UB audit (SIMD hot-path review): the probe loop is a plain linear
  * scan -- no group metadata, no match masks, and therefore no
- * __builtin_ctz/countr_zero whose zero-input case would be undefined.
- * The only subtle arithmetic is the wraparound probe-distance
- * comparison in erase() (`(j - home) & mask` on unsigned size_t,
- * well-defined mod-2^N); the wraparound-chain regression tests in
- * tests/util/flat_hash_test.cc pin it.
+ * __builtin_ctz on a possibly-zero mask.  The slot shift is
+ * 64 - log2(capacity) with capacity >= 16, never a full-width shift
+ * (an empty table is never probed).  The only other subtle
+ * arithmetic is the wraparound probe-distance comparison in erase()
+ * (`(j - home) & mask` on unsigned size_t, well-defined mod-2^N); the
+ * wraparound-chain regression tests in tests/util/flat_hash_test.cc
+ * pin it.
  */
 
 #ifndef VCACHE_UTIL_FLAT_HASH_HH
@@ -48,18 +60,25 @@
 namespace vcache
 {
 
-/** Default integer hash: the splitmix64 finalizer (invertible mix). */
+static_assert(sizeof(std::size_t) == 8,
+              "slots are the top bits of a 64-bit hash");
+
+/** Default integer hash: Fibonacci multiplication by 2^64/phi. */
 struct FlatHash64
 {
     std::size_t
     operator()(std::uint64_t x) const
     {
-        x += 0x9e3779b97f4a7c15ull;
-        x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-        x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-        return static_cast<std::size_t>(x ^ (x >> 31));
+        return static_cast<std::size_t>(x * 0x9e3779b97f4a7c15ull);
     }
 };
+
+/** log2(capacity) high bits of a hash select the slot (see above). */
+constexpr unsigned
+flatSlotShift(std::size_t capacity)
+{
+    return 64u - static_cast<unsigned>(std::countr_zero(capacity));
+}
 
 /**
  * Open-addressing hash map with inline storage.
@@ -157,7 +176,7 @@ class FlatMap
             j = (j + 1) & mask;
             if (!slots[j].used)
                 break;
-            const std::size_t home = hash(slots[j].key) & mask;
+            const std::size_t home = slotOf(slots[j].key);
             if (((j - home) & mask) >= ((j - gap) & mask)) {
                 slots[gap] = std::move(slots[j]);
                 gap = j;
@@ -222,23 +241,23 @@ class FlatMap
     probe(const Key &key) const
     {
         const std::size_t mask = slots.size() - 1;
-        std::size_t i = hash(key) & mask;
+        std::size_t i = slotOf(key);
         while (slots[i].used && !(slots[i].key == key))
             i = (i + 1) & mask;
         return i;
     }
 
+    /** Home slot of `key` in the current table. */
+    std::size_t slotOf(const Key &key) const { return hash(key) >> shift; }
+
     /** Guarantee room for one more entry at < 7/8 load. */
     void
     reserveOne()
     {
-        if (slots.empty()) {
-            slots.resize(kMinCapacity);
-            return;
-        }
-        if ((count + 1) * 8 < slots.size() * 7)
-            return;
-        rehash(slots.size() * 2);
+        if (slots.empty())
+            rehash(kMinCapacity);
+        else if ((count + 1) * 8 >= slots.size() * 7)
+            rehash(slots.size() * 2);
     }
 
     /** Move every entry into a fresh table of `capacity` slots. */
@@ -247,11 +266,12 @@ class FlatMap
     {
         std::vector<Slot> old(capacity);
         old.swap(slots);
+        shift = flatSlotShift(capacity);
         const std::size_t mask = slots.size() - 1;
         for (auto &s : old) {
             if (!s.used)
                 continue;
-            std::size_t i = hash(s.key) & mask;
+            std::size_t i = slotOf(s.key);
             while (slots[i].used)
                 i = (i + 1) & mask;
             slots[i] = std::move(s);
@@ -262,6 +282,8 @@ class FlatMap
 
     std::vector<Slot> slots;
     std::size_t count = 0;
+    /** flatSlotShift(capacity()), refreshed on every rehash. */
+    unsigned shift = 64;
     [[no_unique_address]] Hash hash{};
 };
 
@@ -336,7 +358,7 @@ class FlatSet
             j = (j + 1) & mask;
             if (slots[j] == kEmpty)
                 break;
-            const std::size_t home = hash(slots[j]) & mask;
+            const std::size_t home = slotOf(slots[j]);
             if (((j - home) & mask) >= ((j - gap) & mask)) {
                 slots[gap] = slots[j];
                 gap = j;
@@ -370,6 +392,30 @@ class FlatSet
         hasEmptyKey = false;
     }
 
+    /**
+     * Longest run of consecutive occupied slots (wrapping): a bound on
+     * every probe's length, so tests can pin the slot function's
+     * spread.
+     */
+    std::size_t
+    longestRun() const
+    {
+        if (count == 0)
+            return 0;
+        // Start just past an empty slot (load <= 1/2 leaves plenty),
+        // so a run across the table end is counted whole.
+        const std::size_t mask = slots.size() - 1;
+        const std::size_t start = static_cast<std::size_t>(
+            std::find(slots.begin(), slots.end(), kEmpty) - slots.begin());
+        std::size_t run = 0;
+        std::size_t longest = 0;
+        for (std::size_t k = 1; k <= slots.size(); ++k) {
+            run = slots[(start + k) & mask] == kEmpty ? 0 : run + 1;
+            longest = std::max(longest, run);
+        }
+        return longest;
+    }
+
     /** Visit every key in unspecified order. */
     template <typename F>
     void
@@ -396,11 +442,14 @@ class FlatSet
     probe(Key key) const
     {
         const std::size_t mask = slots.size() - 1;
-        std::size_t i = hash(key) & mask;
+        std::size_t i = slotOf(key);
         while (slots[i] != key && slots[i] != kEmpty)
             i = (i + 1) & mask;
         return i;
     }
+
+    /** Home slot of `key` in the current table. */
+    std::size_t slotOf(Key key) const { return hash(key) >> shift; }
 
     /** Move every key into a fresh table of `capacity` slots. */
     void
@@ -408,11 +457,12 @@ class FlatSet
     {
         std::vector<Key> old(capacity, kEmpty);
         old.swap(slots);
+        shift = flatSlotShift(capacity);
         const std::size_t mask = slots.size() - 1;
         for (const Key key : old) {
             if (key == kEmpty)
                 continue;
-            std::size_t i = hash(key) & mask;
+            std::size_t i = slotOf(key);
             while (slots[i] != kEmpty)
                 i = (i + 1) & mask;
             slots[i] = key;
@@ -422,6 +472,8 @@ class FlatSet
     std::vector<Key> slots;
     /** Live entries in `slots` (the out-of-band kEmpty excluded). */
     std::size_t count = 0;
+    /** flatSlotShift(capacity()), refreshed on every rehash. */
+    unsigned shift = 64;
     /** Whether the all-ones key itself is a member. */
     bool hasEmptyKey = false;
     [[no_unique_address]] Hash hash{};

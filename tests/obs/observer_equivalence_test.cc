@@ -18,6 +18,8 @@
 #include "obs/tracing_observer.hh"
 #include "sim/cc_sim.hh"
 #include "sim/mm_sim.hh"
+#include "trace/fft.hh"
+#include "trace/multistride.hh"
 #include "trace/vcm.hh"
 
 namespace vcache
@@ -220,6 +222,94 @@ TEST(ObserverEquivalence, EventsAndWindowsDoNotPerturbTiming)
     }
     EXPECT_NE(sink.str().find("\"ph\":\"B\""), std::string::npos);
     EXPECT_NE(sink.str().find("cc_direct"), std::string::npos);
+}
+
+/** Records every read-bus arbitration the simulator reports. */
+struct BusWaitRecorder : NullObserver
+{
+    static constexpr bool kEnabled = true;
+
+    void
+    onBusWait(Cycles, Cycles waited)
+    {
+        ++reads;
+        waitedCycles += waited;
+    }
+
+    std::uint64_t reads = 0;
+    Cycles waitedCycles = 0;
+};
+
+const Trace &
+fftTrace()
+{
+    Fft2dParams p;
+    p.b1 = 128;
+    p.b2 = 64;
+    static const Trace trace = generateFft2dTrace(p);
+    return trace;
+}
+
+const Trace &
+multistrideTrace()
+{
+    MultistrideParams p;
+    p.sweeps = 24;
+    static const Trace trace = generateMultistrideTrace(p, 7);
+    return trace;
+}
+
+CacheConfig
+busTestCache(Organization organization)
+{
+    CacheConfig config =
+        ccCacheConfig(paperMachineM32(), CacheScheme::Direct);
+    config.organization = organization;
+    return config;
+}
+
+/**
+ * The invariant the uninstrumented engines' bus elision rests on
+ * (see sim/cc_sim.hh): without prefetching no read ever waits for a
+ * read bus, whatever the cache, miss model or workload.  The observed
+ * runs drive the real BusSet; the plain runs skip it, and must agree.
+ */
+TEST(BusInertness, NoReadWaitsWithoutPrefetch)
+{
+    const Trace *traces[] = {&vcmTrace(), &fftTrace(),
+                             &multistrideTrace()};
+    for (const Organization org :
+         {Organization::DirectMapped, Organization::PrimeMapped,
+          Organization::SetAssociative}) {
+        for (const bool non_blocking : {false, true}) {
+            for (const Trace *trace : traces) {
+                CcSimulator plain(paperMachineM32(), busTestCache(org));
+                plain.setNonBlockingMisses(non_blocking);
+                const SimResult want = plain.run(*trace);
+
+                BusWaitRecorder rec;
+                CcSimulator observed(paperMachineM32(),
+                                     busTestCache(org));
+                observed.setNonBlockingMisses(non_blocking);
+                expectSameResult(observed.run(*trace, rec), want);
+                EXPECT_GE(rec.reads, want.compulsoryMisses);
+                EXPECT_EQ(rec.waitedCycles, 0u)
+                    << "organization " << static_cast<int>(org)
+                    << " non-blocking " << non_blocking;
+            }
+        }
+    }
+}
+
+/** Prefetches do contend for the read buses, so the recorder sees
+ *  waits there -- the check above is not vacuous. */
+TEST(BusInertness, PrefetchReadsDoWait)
+{
+    BusWaitRecorder rec;
+    CcSimulator sim = makeSim(CacheScheme::Direct, Mode::Prefetch);
+    sim.run(vcmTrace(), rec);
+    EXPECT_GT(sim.prefetchesIssued(), 0u);
+    EXPECT_GT(rec.waitedCycles, 0u);
 }
 
 } // namespace

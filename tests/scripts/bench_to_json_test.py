@@ -99,6 +99,8 @@ class BenchToJsonTest(unittest.TestCase):
         raw = {
             "context": {"library_build_type": "debug",
                         "vcache_build_type": "Release",
+                        "vcache_compiler": "GNU 12.2.0",
+                        "vcache_cxx_flags": "-O3 -DNDEBUG -Wall",
                         "vcache_build": "vcache abc123 (Release, "
                                         "simd=avx2)"},
             "benchmarks": [bench("BM_FreshCcSimulator/prime", 7e7, 1.0),
@@ -109,6 +111,8 @@ class BenchToJsonTest(unittest.TestCase):
             proc, out = run_script(raw, d)
         self.assertEqual(proc.returncode, 0, proc.stderr)
         self.assertEqual(out["context"]["build_type"], "Release")
+        self.assertEqual(out["context"]["compiler"], "GNU 12.2.0")
+        self.assertEqual(out["context"]["flags"], "-O3 -DNDEBUG -Wall")
         self.assertIn("abc123", out["context"]["build"])
         self.assertEqual(out["summary"]["cc_fresh_prime_elements_per_s"],
                          7e7)
@@ -122,7 +126,26 @@ class BenchToJsonTest(unittest.TestCase):
             proc, out = run_script(raw, d)
         self.assertEqual(proc.returncode, 0, proc.stderr)
         self.assertIsNone(out["context"]["build_type"])
+        self.assertIsNone(out["context"]["compiler"])
+        self.assertIsNone(out["context"]["flags"])
         self.assertIn("vcache_build_type", proc.stderr)
+        self.assertIn("vcache_compiler", proc.stderr)
+        self.assertIn("vcache_cxx_flags", proc.stderr)
+
+    def test_first_touch_set_keys(self):
+        raw = {"benchmarks": [bench("BM_FirstTouchSet/1", 4e8, 1.0),
+                              bench("BM_FirstTouchSet/8191", 3e8, 1.0),
+                              bench("BM_FirstTouchSet/8192", 2e8,
+                                    1.0)]}
+        with tempfile.TemporaryDirectory() as d:
+            proc, out = run_script(raw, d)
+        self.assertEqual(proc.returncode, 0, proc.stderr)
+        summary = out["summary"]
+        self.assertEqual(summary["first_touch_set_s1_inserts_per_s"], 4e8)
+        self.assertEqual(
+            summary["first_touch_set_s8191_inserts_per_s"], 3e8)
+        self.assertEqual(
+            summary["first_touch_set_s8192_inserts_per_s"], 2e8)
 
 
 if __name__ == "__main__":

@@ -18,10 +18,13 @@ SCRIPT = os.path.join(
 )
 
 
-def doc(rates, build_type="Release", backend="avx2"):
+def doc(rates, build_type="Release", backend="avx2",
+        compiler="GNU 12.2.0", flags="-O3 -DNDEBUG -Wall -Wextra"):
     return {
         "context": {
             "build_type": build_type,
+            "compiler": compiler,
+            "flags": flags,
             "simd_backend": backend,
         },
         "summary": rates,
@@ -71,6 +74,8 @@ class CompareBenchTest(unittest.TestCase):
             summary["rates"]["mm"]["ratio"], 1.01
         )
         self.assertEqual(summary["build_type"], "Release")
+        self.assertEqual(summary["compiler"], "GNU 12.2.0")
+        self.assertEqual(summary["flags"], "-O3 -DNDEBUG -Wall -Wextra")
 
     def test_regression_fails_and_is_named_in_summary(self):
         result, summary = self.run_compare(
@@ -114,6 +119,35 @@ class CompareBenchTest(unittest.TestCase):
         # Refused comparisons produce no summary at all: a stale
         # artifact must not look like a verdict.
         self.assertIsNone(summary)
+
+    def test_compiler_and_flags_mismatch_refused(self):
+        for field, other in (("compiler", "Clang 17.0.6"),
+                             ("flags", "-O2 -g -DNDEBUG -Wall -Wextra")):
+            result, summary = self.run_compare(
+                doc({"mm": 100.0}),
+                doc({"mm": 100.0}, **{field: other}),
+            )
+            self.assertEqual(result.returncode, 1, field)
+            self.assertIn(f"{field} mismatch", result.stderr)
+            self.assertIsNone(summary)
+
+    def test_unstamped_compiler_refused_against_stamped(self):
+        result, _ = self.run_compare(
+            doc({"mm": 100.0}), doc({"mm": 100.0}, compiler=None))
+        self.assertEqual(result.returncode, 1)
+        self.assertIn("compiler mismatch", result.stderr)
+
+    def test_build_mismatch_override_warns_and_compares(self):
+        result, summary = self.run_compare(
+            doc({"mm": 100.0}),
+            doc({"mm": 100.0}, compiler="Clang 17.0.6",
+                flags="-O2"),
+            extra=["--allow-build-type-mismatch"],
+        )
+        self.assertEqual(result.returncode, 0, result.stderr)
+        self.assertIn("compiler mismatch", result.stderr)
+        self.assertIn("flags mismatch", result.stderr)
+        self.assertTrue(summary["passed"])
 
 
 if __name__ == "__main__":

@@ -282,6 +282,18 @@ TEST(BuildInfo, IdentityFieldsAreNonEmpty)
     EXPECT_NE(info.find("simd="), std::string::npos);
 }
 
+TEST(BuildInfo, CompilerAndFlagsAreStamped)
+{
+    const std::string compiler = buildCompiler();
+    EXPECT_NE(compiler.find_first_of("0123456789"), std::string::npos)
+        << compiler;
+    // Every target compiles with the project's warning options, so
+    // the effective flags are never empty.
+    EXPECT_NE(std::string(buildCxxFlags()).find("-Wall"),
+              std::string::npos)
+        << buildCxxFlags();
+}
+
 TEST(BuildInfo, ResultIdentityExcludesSimdBackend)
 {
     // The memo-store label must not depend on the dispatched backend

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <unordered_map>
 #include <unordered_set>
@@ -191,7 +192,10 @@ TEST(FlatMap, EraseBackwardShiftUnderFullCollision)
     EXPECT_EQ(*map.find(3), 33u);
 }
 
-/** Identity hash: key == bucket, so tests can place chains exactly. */
+/**
+ * Identity hash: the slot is the key's top log2(capacity) bits, so
+ * tests can place chains exactly with homedAt().
+ */
 struct IdentityHash
 {
     std::size_t
@@ -200,6 +204,16 @@ struct IdentityHash
         return static_cast<std::size_t>(x);
     }
 };
+
+/**
+ * The `tag`-th distinct key homed on `slot` of a `capacity`-slot
+ * table under IdentityHash: the slot in the top bits, the tag below.
+ */
+std::uint64_t
+homedAt(std::uint64_t slot, std::uint64_t capacity, std::uint64_t tag = 0)
+{
+    return (slot << (64 - std::countr_zero(capacity))) | tag;
+}
 
 /**
  * UB-audit regression (hot-path vectorization review): the erase
@@ -213,12 +227,14 @@ struct IdentityHash
  */
 TEST(FlatMap, EraseBackwardShiftAcrossWraparound)
 {
-    // Table stays at kMinCapacity = 16 below 14 entries; keys 15, 31
-    // and 47 all land on bucket 15 (key & 15), so with 14 occupying
-    // slot 14 the chain wraps into slots 0 and 1.
-    for (std::uint64_t victim : {14ull, 15ull, 31ull, 47ull}) {
+    // Table stays at kMinCapacity = 16 below 14 entries; three keys
+    // home on slot 15, so with one key occupying slot 14 the chain
+    // wraps into slots 0 and 1.
+    const std::uint64_t keys[] = {homedAt(14, 16), homedAt(15, 16),
+                                  homedAt(15, 16, 1),
+                                  homedAt(15, 16, 2)};
+    for (const std::uint64_t victim : keys) {
         FlatMap<std::uint64_t, std::uint64_t, IdentityHash> map;
-        const std::uint64_t keys[] = {14, 15, 31, 47};
         for (const std::uint64_t k : keys)
             map.insertOrAssign(k, k + 1000);
         EXPECT_TRUE(map.erase(victim));
@@ -253,8 +269,9 @@ TEST(FlatSet, EraseBackwardShiftAcrossWraparound)
         const std::uint64_t cap = probe.capacity();
         // Keys homed on the last two slots; those homed on cap-1
         // spill across the boundary into slots 0 and 1.
-        const std::uint64_t keys[] = {cap - 2, cap - 1, 2 * cap - 1,
-                                      3 * cap - 1};
+        const std::uint64_t keys[] = {
+            homedAt(cap - 2, cap), homedAt(cap - 1, cap),
+            homedAt(cap - 1, cap, 1), homedAt(cap - 1, cap, 2)};
         for (const std::uint64_t victim : keys) {
             FlatSet<std::uint64_t, IdentityHash> set;
             set.reserve(reserved);
@@ -282,15 +299,50 @@ TEST(FlatSet, EraseBackwardShiftAcrossWraparound)
 TEST(FlatMap, EraseAtBoundaryLeavesIndependentChain)
 {
     FlatMap<std::uint64_t, std::uint64_t, IdentityHash> map;
-    map.insertOrAssign(15, 150);
-    map.insertOrAssign(0, 100);
-    map.insertOrAssign(16, 200); // 16 & 15 == 0: same home as key 0
-    EXPECT_TRUE(map.erase(15));
-    ASSERT_NE(map.find(0), nullptr);
-    EXPECT_EQ(*map.find(0), 100u);
-    ASSERT_NE(map.find(16), nullptr);
-    EXPECT_EQ(*map.find(16), 200u);
-    EXPECT_EQ(map.find(15), nullptr);
+    const std::uint64_t last = homedAt(15, 16);
+    const std::uint64_t first = homedAt(0, 16);
+    const std::uint64_t next = homedAt(0, 16, 1); // same home as first
+    map.insertOrAssign(last, 150);
+    map.insertOrAssign(first, 100);
+    map.insertOrAssign(next, 200);
+    EXPECT_TRUE(map.erase(last));
+    ASSERT_NE(map.find(first), nullptr);
+    EXPECT_EQ(*map.find(first), 100u);
+    ASSERT_NE(map.find(next), nullptr);
+    EXPECT_EQ(*map.find(next), 200u);
+    EXPECT_EQ(map.find(last), nullptr);
+}
+
+/**
+ * Strided progressions -- the simulators' first-touch traffic -- stay
+ * nearly collision-free under Fibonacci slots: 16K-key progressions
+ * at half load keep every run of occupied slots short, presized or
+ * grown by doubling.  (A random-placement hash such as splitmix64
+ * leaves runs of 24-46 slots on these same keys.)
+ */
+TEST(FlatSet, StridedProgressionsSpreadEvenly)
+{
+    std::vector<std::uint64_t> strides = {1, 7, 8191, 8192};
+    for (unsigned k = 0; k <= 32; ++k)
+        strides.push_back(std::uint64_t{1} << k);
+    constexpr std::uint64_t kKeys = 16384;
+    for (const std::uint64_t base : {0ull, 0x12345ull}) {
+        for (const std::uint64_t stride : strides) {
+            FlatSet<std::uint64_t> presized;
+            presized.reserve(kKeys);
+            FlatSet<std::uint64_t> grown;
+            for (std::uint64_t i = 0; i < kKeys; ++i) {
+                presized.insert(base + i * stride);
+                grown.insert(base + i * stride);
+            }
+            ASSERT_EQ(presized.size(), kKeys);
+            ASSERT_EQ(grown.size(), kKeys);
+            EXPECT_LE(presized.longestRun(), 16u)
+                << "stride " << stride << " base " << base;
+            EXPECT_LE(grown.longestRun(), 16u)
+                << "stride " << stride << " base " << base;
+        }
+    }
 }
 
 /**
