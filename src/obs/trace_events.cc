@@ -1,9 +1,10 @@
 #include "obs/trace_events.hh"
 
 #include <cmath>
-#include <cstdio>
 #include <limits>
 #include <sstream>
+
+#include "util/json.hh"
 
 namespace vcache
 {
@@ -37,35 +38,6 @@ TraceEventWriter::~TraceEventWriter()
     finish();
 }
 
-std::string
-TraceEventWriter::escape(const std::string &s)
-{
-    std::string outStr;
-    outStr.reserve(s.size());
-    for (const char c : s) {
-        switch (c) {
-          case '"':
-            outStr += "\\\"";
-            break;
-          case '\\':
-            outStr += "\\\\";
-            break;
-          case '\n':
-            outStr += "\\n";
-            break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                outStr += buf;
-            } else {
-                outStr += c;
-            }
-        }
-    }
-    return outStr;
-}
-
 bool
 TraceEventWriter::admit()
 {
@@ -93,8 +65,8 @@ TraceEventWriter::beginDuration(const std::string &cat,
     if (!admit())
         return;
     std::ostringstream os;
-    os << "{\"name\":\"" << escape(name) << "\",\"cat\":\""
-       << escape(cat) << "\",\"ph\":\"B\",\"ts\":" << ts
+    os << "{\"name\":\"" << json::escape(name) << "\",\"cat\":\""
+       << json::escape(cat) << "\",\"ph\":\"B\",\"ts\":" << ts
        << ",\"pid\":0,\"tid\":" << tid;
     if (!args_json.empty())
         os << ",\"args\":{" << args_json << "}";
@@ -122,8 +94,8 @@ TraceEventWriter::instant(const std::string &cat,
     if (!admit())
         return;
     std::ostringstream os;
-    os << "{\"name\":\"" << escape(name) << "\",\"cat\":\""
-       << escape(cat) << "\",\"ph\":\"i\",\"s\":\"t\",\"ts\":" << ts
+    os << "{\"name\":\"" << json::escape(name) << "\",\"cat\":\""
+       << json::escape(cat) << "\",\"ph\":\"i\",\"s\":\"t\",\"ts\":" << ts
        << ",\"pid\":0,\"tid\":" << tid;
     if (!args_json.empty())
         os << ",\"args\":{" << args_json << "}";
@@ -138,7 +110,7 @@ TraceEventWriter::counter(const std::string &name, Cycles ts,
     if (!admit())
         return;
     std::ostringstream os;
-    os << "{\"name\":\"" << escape(name)
+    os << "{\"name\":\"" << json::escape(name)
        << "\",\"ph\":\"C\",\"ts\":" << ts << ",\"pid\":0,\"tid\":" << tid
        << ",\"args\":{\"value\":" << jsonNumber(value) << "}}";
     emit(os.str());
@@ -153,7 +125,7 @@ TraceEventWriter::threadName(std::uint32_t tid, const std::string &name)
     // on a capped trace, and there are only a handful of them.
     std::ostringstream os;
     os << "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":"
-       << tid << ",\"args\":{\"name\":\"" << escape(name) << "\"}}";
+       << tid << ",\"args\":{\"name\":\"" << json::escape(name) << "\"}}";
     out << (anyEvent ? ",\n" : "\n") << os.str();
     anyEvent = true;
 }

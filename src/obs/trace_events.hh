@@ -91,9 +91,6 @@ class TraceEventWriter
      */
     void finish();
 
-    /** Escape a string for embedding in a JSON value. */
-    static std::string escape(const std::string &s);
-
   private:
     /** True if the cap admits one more event. */
     bool admit();

@@ -1,32 +1,15 @@
 #include "serve/proto.hh"
 
-#include <charconv>
 #include <cstdio>
 
-#include "sim/checkpoint.hh"
 #include "util/buildinfo.hh"
+#include "util/json.hh"
 
 namespace vcache::serve
 {
 
 namespace
 {
-
-/** One parsed JSON scalar. */
-struct Value
-{
-    enum class Kind
-    {
-        String,
-        Number,
-        Bool,
-        Null,
-    };
-    Kind kind = Kind::Null;
-    /** Decoded text (String) or the raw numeric token (Number). */
-    std::string text;
-    bool boolean = false;
-};
 
 Error
 malformed(const std::string &what)
@@ -35,275 +18,36 @@ malformed(const std::string &what)
                      "malformed request: " + what);
 }
 
-/**
- * Scanner for one flat JSON object.  Deliberately minimal: the
- * protocol never nests, so arrays and sub-objects are malformed
- * input, and numbers keep their raw token so 64-bit seeds survive
- * without a round-trip through double.
- */
-class ObjectScanner
-{
-  public:
-    explicit ObjectScanner(const std::string &line) : s(line) {}
-
-    Expected<std::map<std::string, Value>>
-    parse()
-    {
-        std::map<std::string, Value> out;
-        skipWs();
-        if (!consume('{'))
-            return malformed("expected '{'");
-        skipWs();
-        if (consume('}'))
-            return finish(out);
-        for (;;) {
-            skipWs();
-            std::string key;
-            if (!string(key))
-                return malformed("expected a string key");
-            skipWs();
-            if (!consume(':'))
-                return malformed("expected ':' after key \"" + key +
-                                 "\"");
-            skipWs();
-            Value v;
-            if (!value(v))
-                return malformed("bad value for key \"" + key + "\"");
-            out[key] = std::move(v); // duplicate keys: last one wins
-            skipWs();
-            if (consume(','))
-                continue;
-            if (consume('}'))
-                return finish(out);
-            return malformed("expected ',' or '}'");
-        }
-    }
-
-  private:
-    Expected<std::map<std::string, Value>>
-    finish(std::map<std::string, Value> &out)
-    {
-        skipWs();
-        if (pos != s.size())
-            return malformed("trailing bytes after the object");
-        return std::move(out);
-    }
-
-    void
-    skipWs()
-    {
-        while (pos < s.size() &&
-               (s[pos] == ' ' || s[pos] == '\t' || s[pos] == '\r'))
-            ++pos;
-    }
-
-    bool
-    consume(char c)
-    {
-        if (pos < s.size() && s[pos] == c) {
-            ++pos;
-            return true;
-        }
-        return false;
-    }
-
-    bool
-    literal(const char *word)
-    {
-        std::size_t i = 0;
-        while (word[i] != '\0') {
-            if (pos + i >= s.size() || s[pos + i] != word[i])
-                return false;
-            ++i;
-        }
-        pos += i;
-        return true;
-    }
-
-    /** JSON string with escapes; \uXXXX outside surrogates only. */
-    bool
-    string(std::string &out)
-    {
-        if (!consume('"'))
-            return false;
-        out.clear();
-        while (pos < s.size()) {
-            const char c = s[pos++];
-            if (c == '"')
-                return true;
-            if (static_cast<unsigned char>(c) < 0x20)
-                return false; // raw control characters are invalid
-            if (c != '\\') {
-                out.push_back(c);
-                continue;
-            }
-            if (pos >= s.size())
-                return false;
-            const char e = s[pos++];
-            switch (e) {
-              case '"':
-              case '\\':
-              case '/':
-                out.push_back(e);
-                break;
-              case 'b':
-                out.push_back('\b');
-                break;
-              case 'f':
-                out.push_back('\f');
-                break;
-              case 'n':
-                out.push_back('\n');
-                break;
-              case 'r':
-                out.push_back('\r');
-                break;
-              case 't':
-                out.push_back('\t');
-                break;
-              case 'u': {
-                unsigned cp = 0;
-                if (pos + 4 > s.size())
-                    return false;
-                const auto res = std::from_chars(
-                    s.data() + pos, s.data() + pos + 4, cp, 16);
-                if (res.ec != std::errc() ||
-                    res.ptr != s.data() + pos + 4)
-                    return false;
-                pos += 4;
-                if (cp >= 0xd800 && cp <= 0xdfff)
-                    return false; // no surrogate pairs
-                // UTF-8 encode (cp <= 0xffff here).
-                if (cp < 0x80) {
-                    out.push_back(static_cast<char>(cp));
-                } else if (cp < 0x800) {
-                    out.push_back(
-                        static_cast<char>(0xc0 | (cp >> 6)));
-                    out.push_back(
-                        static_cast<char>(0x80 | (cp & 0x3f)));
-                } else {
-                    out.push_back(
-                        static_cast<char>(0xe0 | (cp >> 12)));
-                    out.push_back(static_cast<char>(
-                        0x80 | ((cp >> 6) & 0x3f)));
-                    out.push_back(
-                        static_cast<char>(0x80 | (cp & 0x3f)));
-                }
-                break;
-              }
-              default:
-                return false;
-            }
-        }
-        return false; // ran out of line inside the string
-    }
-
-    bool
-    number(Value &v)
-    {
-        const std::size_t start = pos;
-        if (pos < s.size() && s[pos] == '-')
-            ++pos;
-        bool digits = false;
-        while (pos < s.size() && s[pos] >= '0' && s[pos] <= '9') {
-            ++pos;
-            digits = true;
-        }
-        if (pos < s.size() && s[pos] == '.') {
-            ++pos;
-            while (pos < s.size() && s[pos] >= '0' && s[pos] <= '9')
-                ++pos;
-        }
-        if (pos < s.size() && (s[pos] == 'e' || s[pos] == 'E')) {
-            ++pos;
-            if (pos < s.size() && (s[pos] == '+' || s[pos] == '-'))
-                ++pos;
-            while (pos < s.size() && s[pos] >= '0' && s[pos] <= '9')
-                ++pos;
-        }
-        if (!digits)
-            return false;
-        v.kind = Value::Kind::Number;
-        v.text = s.substr(start, pos - start);
-        return true;
-    }
-
-    bool
-    value(Value &v)
-    {
-        if (pos >= s.size())
-            return false;
-        const char c = s[pos];
-        if (c == '"') {
-            v.kind = Value::Kind::String;
-            return string(v.text);
-        }
-        if (c == 't') {
-            v.kind = Value::Kind::Bool;
-            v.boolean = true;
-            return literal("true");
-        }
-        if (c == 'f') {
-            v.kind = Value::Kind::Bool;
-            v.boolean = false;
-            return literal("false");
-        }
-        if (c == 'n') {
-            v.kind = Value::Kind::Null;
-            return literal("null");
-        }
-        if (c == '-' || (c >= '0' && c <= '9'))
-            return number(v);
-        return false; // arrays / objects never appear in requests
-    }
-
-    const std::string &s;
-    std::size_t pos = 0;
-};
-
 Expected<std::uint64_t>
-asUint(const std::string &key, const Value &v)
+asUint(const std::string &key, const json::Value &v)
 {
-    if (v.kind != Value::Kind::Number || v.text.empty() ||
-        v.text[0] == '-')
-        return malformed("\"" + key +
-                         "\" must be a non-negative integer");
-    std::uint64_t out = 0;
-    const char *last = v.text.data() + v.text.size();
-    const auto res = std::from_chars(v.text.data(), last, out);
-    if (res.ec != std::errc() || res.ptr != last)
-        return malformed("\"" + key +
-                         "\" must be a non-negative integer");
-    return out;
+    if (const auto n = v.asUint())
+        return *n;
+    return malformed("\"" + key + "\" must be a non-negative integer");
 }
 
 Expected<double>
-asDouble(const std::string &key, const Value &v)
+asDouble(const std::string &key, const json::Value &v)
 {
-    if (v.kind != Value::Kind::Number)
-        return malformed("\"" + key + "\" must be a number");
-    double out = 0.0;
-    const char *last = v.text.data() + v.text.size();
-    const auto res = std::from_chars(v.text.data(), last, out);
-    if (res.ec != std::errc() || res.ptr != last)
-        return malformed("\"" + key + "\" must be a number");
-    return out;
+    if (const auto d = v.asDouble())
+        return *d;
+    return malformed("\"" + key + "\" must be a number");
 }
 
 Expected<bool>
-asBool(const std::string &key, const Value &v)
+asBool(const std::string &key, const json::Value &v)
 {
-    if (v.kind != Value::Kind::Bool)
-        return malformed("\"" + key + "\" must be true or false");
-    return v.boolean;
+    if (const auto b = v.asBool())
+        return *b;
+    return malformed("\"" + key + "\" must be true or false");
 }
 
 Expected<std::string>
-asString(const std::string &key, const Value &v)
+asString(const std::string &key, const json::Value &v)
 {
-    if (v.kind != Value::Kind::String)
-        return malformed("\"" + key + "\" must be a string");
-    return v.text;
+    if (auto text = v.asString())
+        return std::move(*text);
+    return malformed("\"" + key + "\" must be a string");
 }
 
 } // namespace
@@ -311,9 +55,13 @@ asString(const std::string &key, const Value &v)
 Expected<Request>
 parseRequest(const std::string &line)
 {
-    auto fields = ObjectScanner(line).parse();
+    auto fields = json::parseObject(line);
     if (!fields.ok())
-        return fields.error();
+        return malformed(fields.error().message);
+    // Arrays are a journal feature; no request key takes one.
+    for (const auto &[key, value] : fields.value())
+        if (value.kind == json::Value::Kind::StringArray)
+            return malformed("bad value for key \"" + key + "\"");
 
     Request req;
     auto &map = fields.value();
@@ -473,7 +221,7 @@ envelope(bool ok, const std::string &id)
 {
     std::string out = ok ? "{\"ok\":true" : "{\"ok\":false";
     if (!id.empty())
-        out += ",\"id\":\"" + jsonEscape(id) + "\"";
+        out += ",\"id\":\"" + json::escape(id) + "\"";
     return out;
 }
 
@@ -497,7 +245,7 @@ renderError(const std::string &id, const Error &err)
     std::string out = envelope(false, id);
     out += ",\"error\":\"";
     out += errcName(err.code);
-    out += "\",\"message\":\"" + jsonEscape(err.message) + "\"";
+    out += "\",\"message\":\"" + json::escape(err.message) + "\"";
     return out + "}";
 }
 
@@ -516,8 +264,8 @@ renderHello()
 {
     std::string out = "{\"ok\":true,\"op\":\"hello\",\"proto\":";
     out += std::to_string(kProtoVersion);
-    out += ",\"build\":\"" + jsonEscape(buildInfoString()) + "\"";
-    out += ",\"identity\":\"" + jsonEscape(buildResultIdentity()) +
+    out += ",\"build\":\"" + json::escape(buildInfoString()) + "\"";
+    out += ",\"identity\":\"" + json::escape(buildResultIdentity()) +
            "\"";
     return out + "}";
 }
@@ -531,7 +279,7 @@ renderStats(const std::map<std::string, std::uint64_t> &counters)
         if (!first)
             out += ",";
         first = false;
-        out += "\"" + jsonEscape(name) +
+        out += "\"" + json::escape(name) +
                "\":" + std::to_string(value);
     }
     return out + "}}";
@@ -557,7 +305,7 @@ renderMetrics(const std::map<std::string, std::uint64_t> &counters)
 {
     std::string out = "{\"ok\":true,\"op\":\"metrics\","
                       "\"format\":\"prometheus\",\"text\":\"";
-    out += jsonEscape(renderPrometheusText(counters));
+    out += json::escape(renderPrometheusText(counters));
     return out + "\"}";
 }
 

@@ -1,12 +1,13 @@
 #include "sim/checkpoint.hh"
 
-#include <cctype>
 #include <cerrno>
 #include <cstring>
 #include <fstream>
 #include <sstream>
+#include <string_view>
 
 #include "util/faultinject.hh"
+#include "util/json.hh"
 #include "util/logging.hh"
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -22,16 +23,6 @@ namespace
 
 /** Records between fsyncs: bounded loss without per-record fsync cost. */
 constexpr unsigned kSyncBatch = 32;
-
-std::string
-hexByte(unsigned char c)
-{
-    static const char digits[] = "0123456789abcdef";
-    std::string out = "\\u00";
-    out += digits[(c >> 4) & 0xf];
-    out += digits[c & 0xf];
-    return out;
-}
 
 /**
  * A process killed mid-write leaves a torn final line (no trailing
@@ -104,38 +95,6 @@ healTornTail(const std::string &path)
 
 } // namespace
 
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (const char c : s) {
-        switch (c) {
-          case '"':
-            out += "\\\"";
-            break;
-          case '\\':
-            out += "\\\\";
-            break;
-          case '\n':
-            out += "\\n";
-            break;
-          case '\r':
-            out += "\\r";
-            break;
-          case '\t':
-            out += "\\t";
-            break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20)
-                out += hexByte(static_cast<unsigned char>(c));
-            else
-                out += c;
-        }
-    }
-    return out;
-}
-
 CheckpointWriter::CheckpointWriter(std::FILE *f, std::string path)
     : file(f), file_path(std::move(path))
 {
@@ -171,7 +130,7 @@ CheckpointWriter::open(const std::string &path,
     if (!append) {
         std::ostringstream os;
         os << "{\"vcache_checkpoint\":1,\"label\":\""
-           << jsonEscape(header.label) << "\",\"points\":"
+           << json::escape(header.label) << "\",\"points\":"
            << header.points << ",\"seed\":" << header.seed << "}";
         auto wrote = writer->writeLine(os.str());
         if (!wrote.ok())
@@ -213,7 +172,7 @@ CheckpointWriter::recordDone(std::uint64_t point,
     for (std::size_t i = 0; i < row.size(); ++i) {
         if (i)
             os << ',';
-        os << '"' << jsonEscape(row[i]) << '"';
+        os << '"' << json::escape(row[i]) << '"';
     }
     os << "]}";
     return writeLine(os.str());
@@ -226,7 +185,7 @@ CheckpointWriter::recordFailed(std::uint64_t point, const Error &err,
     std::ostringstream os;
     os << "{\"point\":" << point << ",\"status\":\"failed\",\"code\":\""
        << errcName(err.code) << "\",\"attempts\":" << attempts
-       << ",\"error\":\"" << jsonEscape(err.describe()) << "\"}";
+       << ",\"error\":\"" << json::escape(err.describe()) << "\"}";
     return writeLine(os.str());
 }
 
@@ -247,156 +206,73 @@ CheckpointWriter::flush()
 namespace
 {
 
-/**
- * Tiny scanner over exactly the JSON this file writes.  Not a general
- * parser: objects with known member names, string/integer values, and
- * one string array.
- */
-class LineScanner
+/** The member `key` of `obj`; a null value when it is absent. */
+const json::Value &
+member(const json::Object &obj, std::string_view key)
 {
-  public:
-    explicit LineScanner(const std::string &line) : s(line) {}
+    static const json::Value absent;
+    const auto it = obj.find(key);
+    return it == obj.end() ? absent : it->second;
+}
 
-    bool
-    literal(const char *text)
-    {
-        skipSpace();
-        const std::size_t n = std::strlen(text);
-        if (s.compare(pos, n, text) != 0)
-            return false;
-        pos += n;
-        return true;
-    }
-
-    bool
-    uint(std::uint64_t &out)
-    {
-        skipSpace();
-        if (pos >= s.size() || !std::isdigit(
-                static_cast<unsigned char>(s[pos])))
-            return false;
-        out = 0;
-        while (pos < s.size() &&
-               std::isdigit(static_cast<unsigned char>(s[pos])))
-            out = out * 10 + static_cast<std::uint64_t>(s[pos++] - '0');
-        return true;
-    }
-
-    bool
-    quotedString(std::string &out)
-    {
-        skipSpace();
-        if (pos >= s.size() || s[pos] != '"')
-            return false;
-        ++pos;
-        out.clear();
-        while (pos < s.size()) {
-            const char c = s[pos++];
-            if (c == '"')
-                return true;
-            if (c != '\\') {
-                out += c;
-                continue;
-            }
-            if (pos >= s.size())
-                return false;
-            const char esc = s[pos++];
-            switch (esc) {
-              case '"':
-                out += '"';
-                break;
-              case '\\':
-                out += '\\';
-                break;
-              case 'n':
-                out += '\n';
-                break;
-              case 'r':
-                out += '\r';
-                break;
-              case 't':
-                out += '\t';
-                break;
-              case 'u': {
-                if (pos + 4 > s.size())
-                    return false;
-                unsigned value = 0;
-                for (int i = 0; i < 4; ++i) {
-                    const char h = s[pos++];
-                    value <<= 4;
-                    if (h >= '0' && h <= '9')
-                        value |= static_cast<unsigned>(h - '0');
-                    else if (h >= 'a' && h <= 'f')
-                        value |= static_cast<unsigned>(h - 'a' + 10);
-                    else if (h >= 'A' && h <= 'F')
-                        value |= static_cast<unsigned>(h - 'A' + 10);
-                    else
-                        return false;
-                }
-                out += static_cast<char>(value & 0xff);
-                break;
-              }
-              default:
-                return false;
-            }
-        }
-        return false;
-    }
-
-    bool
-    stringArray(std::vector<std::string> &out)
-    {
-        skipSpace();
-        if (!literal("["))
-            return false;
-        out.clear();
-        skipSpace();
-        if (literal("]"))
-            return true;
-        for (;;) {
-            std::string item;
-            if (!quotedString(item))
-                return false;
-            out.push_back(std::move(item));
-            skipSpace();
-            if (literal("]"))
-                return true;
-            if (!literal(","))
-                return false;
-        }
-    }
-
-    bool
-    atEnd()
-    {
-        skipSpace();
-        return pos == s.size();
-    }
-
-  private:
-    void
-    skipSpace()
-    {
-        while (pos < s.size() &&
-               (s[pos] == ' ' || s[pos] == '\t'))
-            ++pos;
-    }
-
-    const std::string &s;
-    std::size_t pos = 0;
-};
-
-/** Skip past one "name":value member we do not care about. */
+/** Whether `obj` has exactly the members `keys`, in any order. */
 bool
-skipMember(LineScanner &in, const char *name)
+hasExactly(const json::Object &obj,
+           std::initializer_list<std::string_view> keys)
 {
-    std::ostringstream key;
-    key << "\"" << name << "\"";
-    if (!in.literal(key.str().c_str()) || !in.literal(":"))
+    if (obj.size() != keys.size())
         return false;
-    std::string str;
-    std::uint64_t n = 0;
-    return in.quotedString(str) || in.uint(n);
+    for (const auto key : keys)
+        if (!obj.count(key))
+            return false;
+    return true;
+}
+
+bool
+readHeader(const json::Object &obj, CheckpointHeader &header)
+{
+    if (!hasExactly(obj, {"vcache_checkpoint", "label", "points",
+                          "seed"}))
+        return false;
+    const auto version = member(obj, "vcache_checkpoint").asUint();
+    auto label = member(obj, "label").asString();
+    const auto points = member(obj, "points").asUint();
+    const auto seed = member(obj, "seed").asUint();
+    if (version != 1u || !label || !points || !seed)
+        return false;
+    header = {std::move(*label), *points, *seed};
+    return true;
+}
+
+/** Apply one "ok" or "failed" record; false when it is malformed. */
+bool
+readRecord(json::Object &obj, CheckpointReplay &replay)
+{
+    const auto point = member(obj, "point").asUint();
+    const auto status = member(obj, "status").asString();
+    if (!point || !status)
+        return false;
+    const bool ok = *status == "ok" &&
+                    hasExactly(obj, {"point", "status", "row"}) &&
+                    obj["row"].kind == json::Value::Kind::StringArray;
+    const bool failed = *status == "failed" &&
+                        hasExactly(obj, {"point", "status", "code",
+                                         "attempts", "error"}) &&
+                        member(obj, "code").asString() &&
+                        member(obj, "attempts").asUint() &&
+                        member(obj, "error").asString();
+    if (!ok && !failed)
+        return false;
+    if (replay.done.count(*point) || replay.failed.count(*point))
+        ++replay.duplicates;
+    if (ok) {
+        replay.done[*point] = std::move(obj["row"].items);
+        replay.failed.erase(*point);
+    } else {
+        replay.failed.insert(*point);
+        replay.done.erase(*point);
+    }
+    return true;
 }
 
 } // namespace
@@ -419,71 +295,12 @@ readCheckpoint(const std::string &path)
         if (line.empty())
             continue;
 
-        LineScanner scan(line);
+        auto obj = json::parseObject(line);
         bool parsed = false;
-        if (line_no == 1) {
-            std::uint64_t version = 0;
-            parsed = scan.literal("{") &&
-                     scan.literal("\"vcache_checkpoint\"") &&
-                     scan.literal(":") && scan.uint(version) &&
-                     version == 1 && scan.literal(",") &&
-                     scan.literal("\"label\"") && scan.literal(":") &&
-                     scan.quotedString(replay.header.label) &&
-                     scan.literal(",") && scan.literal("\"points\"") &&
-                     scan.literal(":") &&
-                     scan.uint(replay.header.points) &&
-                     scan.literal(",") && scan.literal("\"seed\"") &&
-                     scan.literal(":") &&
-                     scan.uint(replay.header.seed) &&
-                     scan.literal("}") && scan.atEnd();
-            saw_header = parsed;
-        } else {
-            std::uint64_t point = 0;
-            if (scan.literal("{") && scan.literal("\"point\"") &&
-                scan.literal(":") && scan.uint(point) &&
-                scan.literal(",") && scan.literal("\"status\"") &&
-                scan.literal(":")) {
-                std::string status;
-                if (scan.quotedString(status)) {
-                    if (status == "ok") {
-                        std::vector<std::string> row;
-                        parsed = scan.literal(",") &&
-                                 scan.literal("\"row\"") &&
-                                 scan.literal(":") &&
-                                 scan.stringArray(row) &&
-                                 scan.literal("}") && scan.atEnd();
-                        if (parsed) {
-                            if (replay.done.count(point) ||
-                                replay.failed.count(point))
-                                ++replay.duplicates;
-                            replay.done[point] = std::move(row);
-                            replay.failed.erase(point);
-                        }
-                    } else if (status == "failed") {
-                        std::uint64_t attempts = 0;
-                        std::string text;
-                        parsed = scan.literal(",") &&
-                                 skipMember(scan, "code") &&
-                                 scan.literal(",") &&
-                                 scan.literal("\"attempts\"") &&
-                                 scan.literal(":") &&
-                                 scan.uint(attempts) &&
-                                 scan.literal(",") &&
-                                 scan.literal("\"error\"") &&
-                                 scan.literal(":") &&
-                                 scan.quotedString(text) &&
-                                 scan.literal("}") && scan.atEnd();
-                        if (parsed) {
-                            if (replay.done.count(point) ||
-                                replay.failed.count(point))
-                                ++replay.duplicates;
-                            replay.failed.insert(point);
-                            replay.done.erase(point);
-                        }
-                    }
-                }
-            }
-        }
+        if (obj.ok() && line_no == 1)
+            parsed = saw_header = readHeader(obj.value(), replay.header);
+        else if (obj.ok())
+            parsed = readRecord(obj.value(), replay);
 
         if (!parsed) {
             // A torn final line is the expected signature of a killed

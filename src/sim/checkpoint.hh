@@ -15,9 +15,12 @@
  *   {"point":7,"status":"failed","code":"Timeout","attempts":3,
  *    "error":"..."}
  *
- * The header pins the sweep identity; resuming against a journal
- * whose label/points/seed differ is an InvalidConfig error rather
- * than a silently-wrong CSV.  A torn final line (the process died
+ * Replay reads each line with util/json: member order is free, but
+ * a missing or unknown member, or an integer beyond 64 bits, makes
+ * the line corrupt.  The header pins the sweep identity; resuming
+ * against a journal whose label/points/seed differ is an
+ * InvalidConfig error rather than a silently-wrong CSV.  A torn
+ * final line (the process died
  * mid-write) is ignored on replay and truncated away before a resume
  * appends, so repeated crash/resume cycles never leave mid-file
  * corruption; corruption anywhere else is an error.  The last record
@@ -123,9 +126,6 @@ Expected<CheckpointReplay> readCheckpoint(const std::string &path);
  */
 Expected<void> checkResumeCompatible(const CheckpointReplay &replay,
                                      const CheckpointHeader &expected);
-
-/** Minimal JSON string escaping shared by journal and telemetry. */
-std::string jsonEscape(const std::string &s);
 
 } // namespace vcache
 

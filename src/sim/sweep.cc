@@ -15,6 +15,7 @@
 #include "obs/registry.hh"
 #include "sim/checkpoint.hh"
 #include "util/faultinject.hh"
+#include "util/json.hh"
 #include "util/logging.hh"
 #include "util/rng.hh"
 #include "util/threadpool.hh"
@@ -110,20 +111,6 @@ fmt1(double v)
     std::ostringstream os;
     os << std::fixed << std::setprecision(1) << v;
     return os.str();
-}
-
-/** Minimal JSON string escaping for sweep labels. */
-std::string
-jsonLabel(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (const char c : s) {
-        if (c == '"' || c == '\\')
-            out += '\\';
-        out += c;
-    }
-    return out;
 }
 
 /** Append the per-worker pointsDone array as a JSON list. */
@@ -274,7 +261,7 @@ runSweepImpl(std::size_t points, const SweepGroups *groups,
     std::ostream *telemetry = opts.telemetry.get();
     if (telemetry) {
         *telemetry << "{\"event\":\"sweep_start\",\"label\":\""
-                   << jsonLabel(opts.label) << "\",\"points\":"
+                   << json::escape(opts.label) << "\",\"points\":"
                    << points << ",\"jobs\":" << jobs << "}\n"
                    << std::flush;
     }
@@ -535,7 +522,7 @@ runSweepImpl(std::size_t points, const SweepGroups *groups,
             }
             if (telemetry) {
                 *telemetry << "{\"event\":\"sweep_progress\","
-                           << "\"label\":\"" << jsonLabel(opts.label)
+                           << "\"label\":\"" << json::escape(opts.label)
                            << "\",\"done\":" << d << ",\"points\":"
                            << points << ",\"failed\":" << failed_now
                            << ",\"elapsed_s\":" << fmt1(t)
@@ -621,7 +608,7 @@ runSweepImpl(std::size_t points, const SweepGroups *groups,
     }
     if (telemetry) {
         *telemetry << "{\"event\":\"sweep_end\",\"label\":\""
-                   << jsonLabel(opts.label) << "\",\"points\":"
+                   << json::escape(opts.label) << "\",\"points\":"
                    << points << ",\"jobs\":" << jobs
                    << ",\"seconds\":" << fmt1(outcome.seconds)
                    << ",\"points_per_s\":"

@@ -6,48 +6,11 @@
 #include <limits>
 #include <sstream>
 
+#include "util/json.hh"
 #include "util/logging.hh"
 
 namespace vcache
 {
-
-namespace
-{
-
-/** JSON string escaping for stat names (quotes, backslashes, controls). */
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (const char c : s) {
-        switch (c) {
-          case '"':
-            out += "\\\"";
-            break;
-          case '\\':
-            out += "\\\\";
-            break;
-          case '\n':
-            out += "\\n";
-            break;
-          case '\t':
-            out += "\\t";
-            break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
-}
-
-} // namespace
 
 void
 StatDump::beginGroup(const std::string &name)
@@ -124,7 +87,7 @@ StatDump::printJson(std::ostream &os) const
     for (const auto &e : entries) {
         os << (first ? "\n" : ",\n");
         first = false;
-        os << "  \"" << jsonEscape(e.name) << "\": ";
+        os << "  \"" << json::escape(e.name) << "\": ";
         if (e.isInteger) {
             os << e.intValue;
         } else if (!std::isfinite(e.doubleValue)) {

@@ -87,13 +87,5 @@ TEST(TraceEventWriter, FinishIsIdempotent)
     EXPECT_EQ(w.dropped(), 1u);
 }
 
-TEST(TraceEventWriter, EscapesStrings)
-{
-    EXPECT_EQ(TraceEventWriter::escape("a\"b\\c\nd"),
-              "a\\\"b\\\\c\\nd");
-    EXPECT_EQ(TraceEventWriter::escape(std::string(1, '\x01')),
-              "\\u0001");
-}
-
 } // namespace
 } // namespace vcache

@@ -220,6 +220,34 @@ TEST(Memo, GarbageJournalStartsColdInsteadOfFailing)
     EXPECT_TRUE(reopened->lookup(1, "a"));
 }
 
+TEST(Memo, JournalWrittenBeforeUtilJsonStillLoads)
+{
+    // Written by the earlier hand-rolled journal writer with a fixed
+    // label (the default label embeds the build identity).  Replay
+    // works on a copy: opening heals and appends in place.
+    TempPath journal("memo_fixture.vcj");
+    {
+        std::ifstream in(VCACHE_SIM_DATA_DIR "/memo_journal.vcj");
+        ASSERT_TRUE(in.good());
+        std::ofstream(journal.path) << in.rdbuf();
+    }
+    MemoOptions options;
+    options.journalPath = journal.path;
+    options.label = "memo:fixture";
+    auto store = mustOpen(options);
+    ASSERT_TRUE(store);
+    EXPECT_EQ(store->stats().journalLoaded, 4u);
+    EXPECT_EQ(store->stats().journalDropped, 0u);
+    EXPECT_EQ(store->stats().journalInvalidated, 0u);
+    const auto hit = store->lookup(
+        104475577617290304ull,
+        "vc-eval/1 m=5 tm=16 B=1024 pds=0.2 engine=none");
+    ASSERT_TRUE(hit);
+    EXPECT_EQ(*hit, R"({"model":{"mm":4.359110383064516,)"
+                    R"("direct":2.2968422290264128,)"
+                    R"("prime":1.7969197497358547}})");
+}
+
 TEST(Memo, CompactionDropsDeadRecords)
 {
     TempPath journal("memo_compact.vcj");

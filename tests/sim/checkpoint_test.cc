@@ -363,13 +363,115 @@ TEST(Checkpoint, ResumeCompatibilityNamesTheMismatch)
     EXPECT_NE(bad.error().message.find("seed"), std::string::npos);
 }
 
-TEST(Checkpoint, JsonEscapeRoundTripBasics)
+TEST(Checkpoint, OversizedIntegersAreCorrupt)
 {
-    EXPECT_EQ(jsonEscape("plain"), "plain");
-    EXPECT_EQ(jsonEscape("a\"b"), "a\\\"b");
-    EXPECT_EQ(jsonEscape("a\\b"), "a\\\\b");
-    EXPECT_EQ(jsonEscape("a\nb"), "a\\nb");
-    EXPECT_EQ(jsonEscape(std::string(1, '\x02')), "\\u0002");
+    TempPath path("ckpt_oversized.jsonl");
+    const std::string record = "{\"point\":1,\"status\":\"ok\","
+                               "\"row\":[\"x\"]}\n";
+    auto write = [&](const std::string &text) {
+        std::ofstream(path.str(), std::ios::trunc) << text;
+    };
+
+    // 2^64+1 must not wrap to seed 1 and pass a --seed 1 resume.
+    write("{\"vcache_checkpoint\":1,\"label\":\"grid\",\"points\":10,"
+          "\"seed\":18446744073709551617}\n" +
+          record);
+    auto replay = readCheckpoint(path.str());
+    ASSERT_FALSE(replay.ok());
+    EXPECT_EQ(replay.error().code, Errc::Io);
+    EXPECT_NE(replay.error().message.find("line 1 is corrupt"),
+              std::string::npos)
+        << replay.error().message;
+
+    // 2^64+3 must not wrap to point 3.
+    const std::string head = "{\"vcache_checkpoint\":1,\"label\":"
+                             "\"grid\",\"points\":10,\"seed\":7}\n";
+    write(head +
+          "{\"point\":18446744073709551619,\"status\":\"ok\","
+          "\"row\":[\"x\"]}\n" +
+          record);
+    replay = readCheckpoint(path.str());
+    ASSERT_FALSE(replay.ok());
+    EXPECT_EQ(replay.error().code, Errc::Io);
+    EXPECT_NE(replay.error().message.find("line 2 is corrupt"),
+              std::string::npos)
+        << replay.error().message;
+
+    // A \u escape decodes to the code point's UTF-8 bytes, not to
+    // its low byte ("\u0141" is U+0141, not "A").
+    write(head + "{\"point\":0,\"status\":\"ok\",\"row\":[\"\\u0141\"]}\n" +
+          record);
+    replay = readCheckpoint(path.str());
+    ASSERT_TRUE(replay.ok()) << replay.error().describe();
+    EXPECT_EQ(replay.value().done.at(0),
+              (std::vector<std::string>{"\xc5\x81"}));
+}
+
+TEST(Checkpoint, MemberOrderIsFreeButTheKeySetIsExact)
+{
+    TempPath path("ckpt_keys.jsonl");
+    const std::string head = "{\"seed\":7,\"points\":10,\"label\":"
+                             "\"grid\",\"vcache_checkpoint\":1}\n";
+    auto lineTwo = [&](const std::string &record) {
+        std::ofstream(path.str(), std::ios::trunc)
+            << head << record << "\n"
+            << "{\"point\":9,\"status\":\"ok\",\"row\":[]}\n";
+        return readCheckpoint(path.str());
+    };
+
+    auto replay = lineTwo("{\"row\":[\"a\"],\"status\":\"ok\","
+                          "\"point\":4}");
+    ASSERT_TRUE(replay.ok()) << replay.error().describe();
+    EXPECT_EQ(replay.value().header.seed, 7u);
+    EXPECT_EQ(replay.value().done.at(4),
+              (std::vector<std::string>{"a"}));
+    EXPECT_TRUE(replay.value().done.at(9).empty());
+
+    replay = lineTwo("{\"error\":\"e\",\"attempts\":2,\"code\":\"Io\","
+                     "\"status\":\"failed\",\"point\":4}");
+    ASSERT_TRUE(replay.ok()) << replay.error().describe();
+    EXPECT_EQ(replay.value().failed, (std::set<std::uint64_t>{4}));
+
+    for (const std::string bad :
+         {"{\"point\":4,\"status\":\"ok\",\"row\":[\"a\"],\"x\":1}",
+          "{\"point\":4,\"status\":\"ok\"}",
+          "{\"point\":4,\"status\":\"failed\",\"code\":\"Io\","
+          "\"attempts\":1}",
+          "{\"point\":4,\"status\":\"ok\",\"row\":\"a\"}",
+          "{\"point\":4,\"status\":\"done\",\"row\":[\"a\"]}",
+          "{\"point\":-4,\"status\":\"ok\",\"row\":[\"a\"]}"}) {
+        replay = lineTwo(bad);
+        ASSERT_FALSE(replay.ok()) << bad;
+        EXPECT_NE(replay.error().message.find("line 2 is corrupt"),
+                  std::string::npos)
+            << bad;
+    }
+}
+
+TEST(Checkpoint, JournalWrittenBeforeUtilJsonStillReplays)
+{
+    // Written by the earlier hand-rolled journal writer: ok, failed
+    // and re-journalled records, rows holding '"', '\\', tab, CR,
+    // 0x01 and UTF-8, and a torn final line.
+    const auto replay =
+        readCheckpoint(VCACHE_SIM_DATA_DIR "/sweep_journal.jsonl");
+    ASSERT_TRUE(replay.ok()) << replay.error().describe();
+    EXPECT_EQ(replay.value().header.label, "sweep_grid");
+    EXPECT_EQ(replay.value().header.points, 8u);
+    EXPECT_EQ(replay.value().header.seed, 1u);
+    ASSERT_EQ(replay.value().done.size(), 3u);
+    EXPECT_EQ(replay.value().done.at(0),
+              (std::vector<std::string>{
+                  "6", "16", "1024",
+                  "q\"b\\t\tc\rx\x01\xc5\x81\xc3\xa9", "0.25"}));
+    EXPECT_EQ(replay.value().done.at(1),
+              (std::vector<std::string>{"5", "4", "256", "rerun",
+                                        "1.5"}));
+    EXPECT_EQ(replay.value().done.at(2),
+              (std::vector<std::string>{"6", "32", "512", "late",
+                                        "3"}));
+    EXPECT_EQ(replay.value().failed, (std::set<std::uint64_t>{3, 5}));
+    EXPECT_EQ(replay.value().duplicates, 3u);
 }
 
 } // namespace

@@ -159,7 +159,7 @@ TEST(Sweep, TelemetryReportsPerWorkerProgress)
 {
     auto sink = std::make_shared<std::ostringstream>();
     SweepOptions opts = quiet(3);
-    opts.label = "grid \"q\"";
+    opts.label = "grid \"q\"\t";
     opts.telemetry = sink;
 
     std::vector<int> grid;
@@ -178,8 +178,9 @@ TEST(Sweep, TelemetryReportsPerWorkerProgress)
               std::string::npos);
     EXPECT_NE(first.find("\"points\":50"), std::string::npos);
     EXPECT_NE(first.find("\"jobs\":3"), std::string::npos);
-    // Quotes in the label must arrive escaped (valid JSON lines).
-    EXPECT_NE(first.find("\"label\":\"grid \\\"q\\\"\""),
+    // Quotes and tabs in the label must arrive escaped (valid JSON
+    // lines).
+    EXPECT_NE(first.find("\"label\":\"grid \\\"q\\\"\\t\""),
               std::string::npos);
 
     ASSERT_NE(last.find("\"event\":\"sweep_end\""), std::string::npos);
