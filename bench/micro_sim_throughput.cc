@@ -153,24 +153,29 @@ BENCHMARK_CAPTURE(BM_StreamingCcSimulator, prime, CacheScheme::Prime);
  * CC cases reuse one simulator through reset(), which keeps whatever
  * capacity the previous iteration grew and so hides any per-run setup
  * on the compulsory-miss path.  The trace is one VCM grid point of
- * the paper sweep (m=5, B=2048, p_ds=0.2; R=8, two blocks).
+ * the paper sweep (m=5, p_ds=0.2; R=8, two blocks) at blocking
+ * factor B: at B=2048 its read footprint fits one cache, at B=8192
+ * it is about 2.6 caches' worth of lines, so only that capture sees
+ * whether the first-touch set regrows mid-run.
  */
 EvalRequest
-paperPointRequest()
+paperPointRequest(std::uint64_t blocking_factor)
 {
     EvalRequest req;
     req.bankBits = 5;
-    req.blockingFactor = 2048;
+    req.blockingFactor = blocking_factor;
     req.pDoubleStream = 0.2;
     req.seed = 11;
     return req;
 }
 
 void
-BM_FreshCcSimulator(benchmark::State &state, CacheScheme scheme)
+BM_FreshCcSimulator(benchmark::State &state, CacheScheme scheme,
+                    std::uint64_t blocking_factor)
 {
-    static const Trace trace = buildTraceArena(paperPointRequest()).cc;
-    const MachineParams machine = evalMachine(paperPointRequest());
+    const EvalRequest req = paperPointRequest(blocking_factor);
+    const Trace trace = buildTraceArena(req).cc;
+    const MachineParams machine = evalMachine(req);
     const auto n = totalElements(trace);
     for (auto _ : state)
         benchmark::DoNotOptimize(simulateCc(machine, scheme, trace));
@@ -178,8 +183,13 @@ BM_FreshCcSimulator(benchmark::State &state, CacheScheme scheme)
         static_cast<std::int64_t>(state.iterations() * n));
     state.SetLabel(simdBackendLabel());
 }
-BENCHMARK_CAPTURE(BM_FreshCcSimulator, direct, CacheScheme::Direct);
-BENCHMARK_CAPTURE(BM_FreshCcSimulator, prime, CacheScheme::Prime);
+BENCHMARK_CAPTURE(BM_FreshCcSimulator, direct, CacheScheme::Direct,
+                  2048);
+BENCHMARK_CAPTURE(BM_FreshCcSimulator, prime, CacheScheme::Prime, 2048);
+BENCHMARK_CAPTURE(BM_FreshCcSimulator, direct_b8192, CacheScheme::Direct,
+                  8192);
+BENCHMARK_CAPTURE(BM_FreshCcSimulator, prime_b8192, CacheScheme::Prime,
+                  8192);
 
 /**
  * The first-touch set alone, as a CC run drives it: a fresh set

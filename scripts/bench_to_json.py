@@ -125,6 +125,13 @@ def main(argv: list[str]) -> None:
             rate_of("BM_FreshCcSimulator/direct"),
         "cc_fresh_prime_elements_per_s":
             rate_of("BM_FreshCcSimulator/prime"),
+        # The same point at B=8192, whose read footprint overflows one
+        # cache: CI gates its rate against the B=2048 one per scheme,
+        # so a first-touch set that regrows mid-run shows as a ratio.
+        "cc_fresh_direct_b8192_elements_per_s":
+            rate_of("BM_FreshCcSimulator/direct_b8192"),
+        "cc_fresh_prime_b8192_elements_per_s":
+            rate_of("BM_FreshCcSimulator/prime_b8192"),
         # The first-touch set on its own: one cache's worth of a
         # strided stream into a fresh presized set, per stride.
         "first_touch_set_s1_inserts_per_s":

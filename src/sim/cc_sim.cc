@@ -23,10 +23,6 @@ CcSimulator::CcSimulator(const MachineParams &params,
     : machine(params), vectorCache(makeCache(cache_config)),
       memory(params.bankBits, params.memoryTime, params.bankMapping)
 {
-    // Sized once for a cache's worth of lines: every run would
-    // otherwise regrow the set through ~10 doubling rehashes on its
-    // compulsory-miss path, and reset() keeps the capacity.
-    touchedLines.reserve(vectorCache->numLines());
 }
 
 CcSimulator::CcSimulator(const MachineParams &params, CacheScheme scheme)

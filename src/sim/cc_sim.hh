@@ -206,6 +206,7 @@ class CcSimulator
     void
     seedTouchedLines(const std::vector<Addr> &lines)
     {
+        touchedLines.reserve(touchedLines.size() + lines.size());
         for (Addr line : lines)
             touchedLines.insert(line);
     }
@@ -509,9 +510,8 @@ CcSimulator::stripLoop(CacheT &cache, const VectorOp &op,
     const Cycles warm_startup = static_cast<Cycles>(
         base_startup - static_cast<double>(machine.memoryTime));
 
-    const VectorRef *second = op.second ? &op.second.value() : nullptr;
     const std::int64_t s1 = op.first.stride;
-    const std::int64_t s2 = second ? second->stride : 0;
+    const std::int64_t s2 = op.second ? op.second->stride : 0;
 
     for (std::uint64_t done = 0; done < op.first.length;
          done += machine.mvl) {
@@ -538,6 +538,11 @@ CcSimulator::stripLoop(CacheT &cache, const VectorOp &op,
         bool gang_probe = false;
         if constexpr (!Prefetching && !Observer::kEnabled)
             gang_probe = gangReplay && cache.readHitsAreInert();
+        // The second stream is shorter: strips past its end are
+        // single-stream strips.
+        const VectorRef *second =
+            op.second && done < op.second->length ? &op.second.value()
+                                                  : nullptr;
         // Double-stream gangs interleave two streams into one mask, so
         // halve the stream-1 gang to keep the total inside one mask.
         const std::uint64_t max_g =
@@ -610,6 +615,7 @@ SimResult
 CcSimulator::runImpl(CacheT &cache, TraceSource &source, Observer &obs)
 {
     SimResult result;
+    touchedLines.reserve(touchedLines.size() + source.readFootprint());
 
     if constexpr (Observer::kEnabled)
         obs.onRunBegin(cache.numSets(), cache.numLines());
@@ -761,6 +767,7 @@ CcSimulator::runBatched(CacheT &cache, TraceSource &source,
                   "them; instrumented runs must replay element-wise");
     SimResult result;
     BatchMemo memo;
+    touchedLines.reserve(touchedLines.size() + source.readFootprint());
 
     VectorOp op;
     while (source.next(op)) {

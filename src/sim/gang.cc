@@ -82,10 +82,10 @@ runGang(const MachineParams &base, CacheT &cache, TraceSource &source,
 
     // Functional state, shared across every lane (see gang.hh).
     const AddressLayout &layout = cache.addressLayout();
-    // Presized so compulsory misses never pay a rehash (see the
-    // CcSimulator constructor).
+    // Presized from the trace's read footprint so compulsory misses
+    // never pay a rehash.
     FlatSet<Addr> touched;
-    touched.reserve(cache.numLines());
+    touched.reserve(source.readFootprint());
     SimResult shared;
     PendingCounts pend;
 

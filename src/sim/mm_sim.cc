@@ -45,6 +45,7 @@ MmSimulator::runBatched(TraceSource &source)
 {
     SimResult result;
     NullObserver obs;
+    const std::uint64_t mvl = machine.mvl;
 
     VectorOp op;
     while (source.next(op)) {
@@ -52,20 +53,34 @@ MmSimulator::runBatched(TraceSource &source)
             throwCancelled(*cancel);
         clock += static_cast<Cycles>(machine.blockOverhead);
 
-        if (!tryFastForwardOp(op, result)) {
-            const VectorRef *second =
-                op.second ? &op.second.value() : nullptr;
-            for (std::uint64_t done = 0; done < op.first.length;
-                 done += machine.mvl) {
-                clock += static_cast<Cycles>(machine.stripOverhead +
-                                             machine.startupTime());
-                const std::uint64_t count =
-                    std::min<std::uint64_t>(machine.mvl,
-                                            op.first.length - done);
-                issueStrip(op.first, second, done, count, result,
-                           obs);
-            }
+        // Strips holding second-stream elements replay element-wise;
+        // the single-stream tail after them starts on a strip
+        // boundary with every bank and both read buses free -- the
+        // closed form's base case.  Eligibility is settled before the
+        // first strip issues, so an op never falls back part-way.
+        const VectorRef *second =
+            op.second ? &op.second.value() : nullptr;
+        std::uint64_t head = 0;
+        if (second) {
+            const std::uint64_t reach =
+                std::min(op.first.length, second->length);
+            head = std::min(op.first.length,
+                            (reach + mvl - 1) / mvl * mvl);
         }
+        const VectorRef tail{op.first.element(head), op.first.stride,
+                             op.first.length - head};
+        if (!canFastForward(tail))
+            head = op.first.length;
+
+        for (std::uint64_t done = 0; done < head; done += mvl) {
+            clock += static_cast<Cycles>(machine.stripOverhead +
+                                         machine.startupTime());
+            const std::uint64_t count =
+                std::min<std::uint64_t>(mvl, op.first.length - done);
+            issueStrip(op.first, second, done, count, result, obs);
+        }
+        if (head < op.first.length)
+            fastForwardRun(tail, result);
 
         // Stores drain through the write bus without stalling the
         // pipeline; the write bus is reserved live even on
@@ -80,13 +95,8 @@ MmSimulator::runBatched(TraceSource &source)
 }
 
 bool
-MmSimulator::tryFastForwardOp(const VectorOp &op, SimResult &result)
+MmSimulator::canFastForward(const VectorRef &ref) const
 {
-    // Double streams interleave two progressions on the buses; their
-    // tie-breaking is cheap to replay but fiddly to prove, so they
-    // stay element-wise.
-    if (op.second)
-        return false;
     // An armed fault plan must see every memory.bank.issue site hit;
     // the closed form never visits them.
     if (faults::kEnabled && faults::activeCheap())
@@ -95,7 +105,6 @@ MmSimulator::tryFastForwardOp(const VectorOp &op, SimResult &result)
     if (mapping != BankMapping::LowOrder &&
         mapping != BankMapping::PrimeModulo)
         return false;
-    const VectorRef &ref = op.first;
     // LowOrder is wrap-safe (2^b divides 2^64); the prime modulus
     // needs the true integer progression.
     if (mapping == BankMapping::PrimeModulo &&
@@ -103,15 +112,18 @@ MmSimulator::tryFastForwardOp(const VectorOp &op, SimResult &result)
         return false;
     const Cycles gap = static_cast<Cycles>(machine.stripOverhead +
                                            machine.startupTime());
-    const Cycles tm = memory.busyTime();
     // Every bank goes idle again within t_m - 1 cycles of its strip's
     // last issue, so this start-up guarantees all banks are free at
     // every strip start -- the base case of the closed form.
-    if (gap + 1 < tm)
-        return false;
-    if (ref.length == 0)
-        return true;
+    return gap + 1 >= memory.busyTime();
+}
 
+void
+MmSimulator::fastForwardRun(const VectorRef &ref, SimResult &result)
+{
+    const Cycles gap = static_cast<Cycles>(machine.stripOverhead +
+                                           machine.startupTime());
+    const Cycles tm = memory.busyTime();
     const std::uint64_t banks = memory.banks();
     const std::uint64_t q =
         banks / gcd(floorMod(ref.stride, banks), banks);
@@ -176,7 +188,6 @@ MmSimulator::tryFastForwardOp(const VectorOp &op, SimResult &result)
     }
 
     clock = last_start + issueOffset(last_count - 1) + 1;
-    return true;
 }
 
 } // namespace vcache

@@ -31,11 +31,16 @@
  * InterleavedMemory::noteRunIssue), valid whenever banks are
  * provably free at every strip start (strip start-up >= t_m - 1) and
  * the mapping is residue-periodic (LowOrder always; PrimeModulo for
- * non-wrapping runs).  Everything else -- double streams, skewed or
- * XOR-hashed mappings, armed fault-injection plans (the batched path
- * would skip the per-element memory.bank.issue sites), or
- * SimEngine::Scalar -- replays element-wise.  Equivalence is pinned
- * by tests/sim/batched_test.cc.
+ * non-wrapping runs).  A double-stream op replays the strips that
+ * hold second-stream elements element-wise (the two streams' bus
+ * tie-breaking is cheap to replay but fiddly to prove) and
+ * fast-forwards the single-stream tail after them, which starts on a
+ * strip boundary with every bank and both read buses free.  Skewed
+ * or XOR-hashed mappings, a PrimeModulo tail that wraps, armed
+ * fault-injection plans (the batched path would skip the per-element
+ * memory.bank.issue sites), and SimEngine::Scalar replay the whole
+ * op element-wise; that choice is made before the op's first strip.
+ * Equivalence is pinned by tests/sim/batched_test.cc.
  */
 
 #ifndef VCACHE_SIM_MM_SIM_HH
@@ -129,14 +134,19 @@ class MmSimulator
     SimResult runBatched(TraceSource &source);
 
     /**
-     * Fast-forward one vector op in closed form when its conflict
-     * structure is provable (see the file comment); updates result,
-     * clock, bus and bank state exactly as element-wise issue would.
-     * The op's store, if any, is the caller's job either way.
-     *
-     * @return false when the op must replay element-wise
+     * Whether fastForwardRun() is exact for `ref` (see the file
+     * comment): a residue-periodic mapping, strip start-ups that free
+     * every bank, and no armed fault plan.
      */
-    bool tryFastForwardOp(const VectorOp &op, SimResult &result);
+    bool canFastForward(const VectorRef &ref) const;
+
+    /**
+     * Issue a non-empty single-stream run in closed form, starting on
+     * a strip boundary with every bank and both read buses free;
+     * updates result, clock, bus and bank state exactly as
+     * element-wise issue would.  Requires canFastForward(ref).
+     */
+    void fastForwardRun(const VectorRef &ref, SimResult &result);
 
     MachineParams machine;
     InterleavedMemory memory;

@@ -213,9 +213,9 @@ appendOpState(const Cache &cache, const VectorOp &op,
 /**
  * Lines the functional pass has brought in: a set for the walk's
  * first-touch test, plus the same lines in first-touch order.  The
- * set is presized for the whole cache, so while the footprint is
- * small its slots are mostly empty; each live-point capture scans the
- * dense `order` instead.
+ * set is presized for the whole trace's read footprint, so early in
+ * the walk its slots are mostly empty; each live-point capture scans
+ * the dense `order` instead.
  */
 struct TouchedLines
 {
@@ -593,9 +593,10 @@ sampleCc(const MachineParams &machine, const CacheConfig &cache_config,
         return cache_or.error();
     const std::unique_ptr<Cache> cache = std::move(cache_or.value());
     const AddressLayout &layout = cache->addressLayout();
-    // Reserved once here; each round's clear() keeps the capacity.
+    // Reserved once here for the trace's read footprint; each
+    // round's clear() keeps the capacity.
     TouchedLines touched;
-    touched.set.reserve(cache->numLines());
+    touched.set.reserve(readFootprintBound(trace));
 
     std::vector<std::unique_ptr<CcSimulator>> sims;
     for (unsigned w = 0; w < std::max(opts.jobs, 1u); ++w) {

@@ -1,5 +1,10 @@
 #include "trace/access.hh"
 
+#include <algorithm>
+#include <limits>
+#include <tuple>
+#include <utility>
+
 namespace vcache
 {
 
@@ -33,6 +38,55 @@ totalElements(const Trace &trace)
         if (op.store)
             n += op.store->length;
     return n;
+}
+
+std::uint64_t
+readFootprintBound(std::span<const VectorOp> ops)
+{
+    std::vector<VectorRef> refs;
+    refs.reserve(2 * ops.size());
+    for (const VectorOp &op : ops) {
+        refs.push_back(op.first);
+        if (op.second)
+            refs.push_back(*op.second);
+    }
+    std::ranges::sort(refs, {}, [](const VectorRef &r) {
+        return std::tuple(r.base, r.stride, r.length);
+    });
+    refs.erase(std::unique(refs.begin(), refs.end()), refs.end());
+
+    const auto add = [](std::uint64_t a, std::uint64_t b) {
+        constexpr std::uint64_t kMax =
+            std::numeric_limits<std::uint64_t>::max();
+        return a > kMax - b ? kMax : a + b;
+    };
+    std::uint64_t lengths = 0;
+    std::vector<std::pair<Addr, Addr>> extents;
+    extents.reserve(refs.size());
+    bool wraps = false;
+    for (const VectorRef &r : refs) {
+        if (r.length == 0)
+            continue;
+        lengths = add(lengths, r.length);
+        // A wrapping reference has no single extent; the summed
+        // lengths alone then bound the footprint.
+        wraps = wraps || !spansWithoutWrap(r.base, r.stride, r.length);
+        const Addr a = r.element(0);
+        const Addr b = r.element(r.length - 1);
+        extents.emplace_back(std::min(a, b), std::max(a, b));
+    }
+    if (wraps)
+        return lengths;
+
+    std::sort(extents.begin(), extents.end());
+    std::uint64_t covered = 0;
+    for (std::size_t i = 0; i < extents.size();) {
+        auto [lo, hi] = extents[i];
+        for (++i; i < extents.size() && extents[i].first <= hi; ++i)
+            hi = std::max(hi, extents[i].second);
+        covered = add(covered, add(hi - lo, 1));
+    }
+    return std::min(lengths, covered);
 }
 
 std::vector<Addr>

@@ -14,6 +14,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "util/types.hh"
@@ -92,6 +93,17 @@ std::uint64_t loadedElements(const Trace &trace);
 
 /** Total element accesses (loads + stores) across a trace. */
 std::uint64_t totalElements(const Trace &trace);
+
+/**
+ * Upper bound on the distinct words the loads of `ops` read (first
+ * and second streams; stores excluded), hence on the distinct lines
+ * of any line size: the smaller of the summed lengths of the
+ * distinct read references and the size of the union of their
+ * address extents.  The first is tight for the synthetic workloads,
+ * whose references rarely overlap; the second caps traces that
+ * re-read one matrix through many distinct references.
+ */
+std::uint64_t readFootprintBound(std::span<const VectorOp> ops);
 
 /**
  * Flatten a trace to element granularity in issue order.

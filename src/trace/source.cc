@@ -73,6 +73,13 @@ VcmTraceSource::reset()
     blockBase = 0;
 }
 
+std::uint64_t
+VcmTraceSource::readFootprint() const
+{
+    VcmTraceSource copy(params, seedValue);
+    return readFootprintBound(materializeTrace(copy));
+}
+
 MultistrideTraceSource::MultistrideTraceSource(
     const MultistrideParams &params_, std::uint64_t seed)
     : params(params_), seedValue(seed), rng(seed),
@@ -112,6 +119,13 @@ MultistrideTraceSource::reset()
     sweep = params.reusePerStride == 0 ? params.sweeps : 0;
     rep = 0;
     current = VectorOp{};
+}
+
+std::uint64_t
+MultistrideTraceSource::readFootprint() const
+{
+    MultistrideTraceSource copy(params, seedValue);
+    return readFootprintBound(materializeTrace(copy));
 }
 
 } // namespace vcache

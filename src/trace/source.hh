@@ -16,7 +16,9 @@
 #ifndef VCACHE_TRACE_SOURCE_HH
 #define VCACHE_TRACE_SOURCE_HH
 
+#include <algorithm>
 #include <cstdint>
+#include <span>
 
 #include "trace/access.hh"
 #include "trace/multistride.hh"
@@ -40,6 +42,13 @@ class TraceSource
 
     /** Rewind to the first operation (restarting any RNG stream). */
     virtual void reset() = 0;
+
+    /**
+     * readFootprintBound() over the whole workload, answered without
+     * moving the stream -- what the CC engines presize their
+     * first-touch sets from.
+     */
+    virtual std::uint64_t readFootprint() const = 0;
 };
 
 /** Adapter: stream an existing materialized Trace. */
@@ -59,6 +68,12 @@ class TraceVectorSource final : public TraceSource
     }
 
     void reset() override { pos = 0; }
+
+    std::uint64_t
+    readFootprint() const override
+    {
+        return readFootprintBound(ops);
+    }
 
   private:
     const Trace &ops;
@@ -97,6 +112,13 @@ class TraceSliceSource final : public TraceSource
 
     void reset() override { pos = first; }
 
+    std::uint64_t
+    readFootprint() const override
+    {
+        return readFootprintBound(std::span(ops).subspan(
+            first, std::max(first, last) - first));
+    }
+
   private:
     const Trace &ops;
     std::size_t first;
@@ -124,6 +146,8 @@ class VcmTraceSource final : public TraceSource
 
     bool next(VectorOp &op) override;
     void reset() override;
+    /** Drains a fresh copy (same params and seed). */
+    std::uint64_t readFootprint() const override;
 
   private:
     VcmParams params;
@@ -181,6 +205,12 @@ class ConstantStrideSource final : public TraceSource
 
     void reset() override { emitted = 0; }
 
+    std::uint64_t
+    readFootprint() const override
+    {
+        return repeats_ == 0 ? 0 : op_.first.length;
+    }
+
   private:
     VectorOp op_;
     std::uint64_t repeats_;
@@ -196,6 +226,8 @@ class MultistrideTraceSource final : public TraceSource
 
     bool next(VectorOp &op) override;
     void reset() override;
+    /** Drains a fresh copy (same params and seed). */
+    std::uint64_t readFootprint() const override;
 
   private:
     MultistrideParams params;

@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -318,6 +319,77 @@ TEST(BatchedMmDifferential, MachinesByMapping)
     }
 }
 
+/**
+ * Double-stream ops whose first stream outruns the second by at least
+ * two strips (MVL 64): Auto replays the strips holding second-stream
+ * elements and fast-forwards the single-stream tail, whose end state
+ * the later ops then consume.
+ */
+Trace
+doubleStreamTailTrace()
+{
+    Trace trace;
+    const auto add = [&](VectorRef first,
+                         std::optional<VectorRef> second,
+                         bool store = false) {
+        VectorOp op;
+        op.first = first;
+        op.second = second;
+        if (store)
+            op.store = VectorRef{first.base + 2000000, 1, first.length};
+        trace.push_back(op);
+    };
+    // A partial last strip (1000 = 15 * 64 + 40); the second stream
+    // ends mid-strip.
+    add({0, 1, 1000}, VectorRef{500000, 4, 200}, true);
+    add({0, 1, 1000}, VectorRef{500000, 4, 200}, true);
+    // A second stream of exactly two strips; a conflicted tail
+    // (stride 32 revisits one bank on 32 banks).
+    add({64, 32, 517}, VectorRef{300000, 1, 128});
+    // A one-element second stream.
+    add({7, 33, 300}, VectorRef{900000, 3, 1});
+    // Second stream as long as the first, then longer: no tail.
+    add({4096, 1, 256}, VectorRef{800000, 2, 256});
+    add({4096, 2, 200}, VectorRef{810000, 5, 700});
+    // A negative stride through both streams.
+    add({1000000, -5, 700}, VectorRef{700000, -3, 70});
+    // The head wraps past 2^64 but the tail does not; then a tail
+    // that wraps below 0, where the wrap moves a one-bank stride
+    // (31 on 31 prime banks) to another bank (PrimeModulo replays
+    // that whole op).
+    add({~Addr{0} - 4, 1, 300}, VectorRef{1000, 1, 10});
+    add({3000, -31, 300}, VectorRef{200000, 1, 10});
+    // Single-stream ops after, consuming the tails' bank state.
+    add({0, 2, 555}, std::nullopt);
+    add({3, 1, 64}, std::nullopt);
+    return trace;
+}
+
+TEST(BatchedMmDifferential, DoubleStreamTails)
+{
+    const Trace trace = doubleStreamTailTrace();
+    for (const auto &[name, machine] : mmMachines()) {
+        MmSimulator scalar(machine);
+        scalar.setEngine(SimEngine::Scalar);
+        const SimResult want = scalar.run(trace);
+
+        MmSimulator batched(machine);
+        batched.setEngine(SimEngine::Auto);
+        const SimResult got = batched.run(trace);
+        expectSameResult(got, want, "tails/" + name);
+
+        // Each op alone, from a cold machine.
+        for (std::size_t i = 0; i < trace.size(); ++i) {
+            const Trace one{trace[i]};
+            scalar.reset();
+            batched.reset();
+            expectSameResult(batched.run(one), scalar.run(one),
+                             "tails/" + name + "/op" +
+                                 std::to_string(i));
+        }
+    }
+}
+
 TEST(BatchedMmDifferential, ConstantStrideStream)
 {
     for (const std::int64_t stride : {1, 2, 32, 1023}) {
@@ -363,6 +435,12 @@ class CancellingSource final : public TraceSource
     {
         served = 0;
         inner.reset();
+    }
+
+    std::uint64_t
+    readFootprint() const override
+    {
+        return inner.readFootprint();
     }
 
   private:
@@ -438,25 +516,28 @@ class BatchedFaults : public ::testing::Test
 
 TEST_F(BatchedFaults, MmArmedPlanFiresIdentically)
 {
-    const Trace trace = mmTrace();
-    std::uint64_t hits[2] = {0, 0};
-    int threw = 0;
-    int i = 0;
-    for (const SimEngine engine :
-         {SimEngine::Scalar, SimEngine::Auto}) {
-        // Reinstall per run: site hit counters reset on install.
-        install("memory.bank.issue=throw@every:1500");
-        MmSimulator sim(paperMachineM32());
-        sim.setEngine(engine);
-        try {
-            sim.run(trace);
-        } catch (const VcError &) {
-            ++threw;
+    // The double-stream trace pins that an armed plan refuses a tail
+    // fast-forward before the op's head strips issue.
+    for (const Trace &trace : {mmTrace(), doubleStreamTailTrace()}) {
+        std::uint64_t hits[2] = {0, 0};
+        int threw = 0;
+        int i = 0;
+        for (const SimEngine engine :
+             {SimEngine::Scalar, SimEngine::Auto}) {
+            // Reinstall per run: site hit counters reset on install.
+            install("memory.bank.issue=throw@every:1500");
+            MmSimulator sim(paperMachineM32());
+            sim.setEngine(engine);
+            try {
+                sim.run(trace);
+            } catch (const VcError &) {
+                ++threw;
+            }
+            hits[i++] = faults::faultSiteHits("memory.bank.issue");
         }
-        hits[i++] = faults::faultSiteHits("memory.bank.issue");
+        EXPECT_EQ(threw, 2);
+        EXPECT_EQ(hits[0], hits[1]);
     }
-    EXPECT_EQ(threw, 2);
-    EXPECT_EQ(hits[0], hits[1]);
 }
 
 TEST_F(BatchedFaults, CcDormantRuleKeepsBatchingAndCountsMatch)

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "trace/access.hh"
 
 namespace vcache
@@ -70,6 +72,46 @@ TEST(VectorOp, DoubleStreamFlag)
     EXPECT_FALSE(op.doubleStream());
     op.second = VectorRef{1, 1, 1};
     EXPECT_TRUE(op.doubleStream());
+}
+
+VectorOp
+loadOp(VectorRef first, std::optional<VectorRef> second = {})
+{
+    VectorOp op;
+    op.first = first;
+    op.second = second;
+    return op;
+}
+
+TEST(ReadFootprintBound, SumsDistinctReadReferences)
+{
+    // The repeated first stream counts once; the store not at all.
+    VectorOp stored = loadOp({0, 1, 100});
+    stored.store = VectorRef{5000, 1, 4000};
+    const Trace trace{loadOp({0, 1, 100}, VectorRef{1000, 2, 50}),
+                      loadOp({0, 1, 100}), stored};
+    EXPECT_EQ(readFootprintBound(trace), 150u);
+    EXPECT_EQ(readFootprintBound({}), 0u);
+}
+
+TEST(ReadFootprintBound, OverlappingReferencesCapAtTheirExtent)
+{
+    // 250 summed elements over the 110 words [0, 110).
+    const Trace trace{loadOp({0, 1, 100}), loadOp({10, 1, 100}),
+                      loadOp({0, 2, 50})};
+    EXPECT_EQ(readFootprintBound(trace), 110u);
+    // One address read 1000 times.
+    EXPECT_EQ(readFootprintBound(Trace{loadOp({5, 0, 1000})}), 1u);
+    // A sparse negative-stride reference: its length is the bound.
+    EXPECT_EQ(readFootprintBound(Trace{loadOp({100, -10, 4})}), 4u);
+}
+
+TEST(ReadFootprintBound, WrappingReferenceFallsBackToLengths)
+{
+    // {2, -1, 10} wraps below address 0, so it has no one extent.
+    const Trace trace{loadOp({2, -1, 10}), loadOp({1000, 1, 5}),
+                      loadOp({1000, 1, 5})};
+    EXPECT_EQ(readFootprintBound(trace), 15u);
 }
 
 } // namespace
