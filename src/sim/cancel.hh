@@ -109,19 +109,27 @@ class CancelToken
 };
 
 /**
- * Raise the structured error for a tripped token: Errc::Timeout for a
- * watchdog deadline, Errc::Cancelled otherwise.  The simulators call
+ * The structured error for a tripped token: Errc::Timeout for a
+ * watchdog deadline, Errc::Cancelled otherwise.
+ */
+inline Error
+cancelledError(const CancelToken &token)
+{
+    if (token.reason() == CancelToken::Reason::Timeout)
+        return makeError(Errc::Timeout,
+                         "simulation exceeded the per-point deadline");
+    return makeError(Errc::Cancelled, "simulation cancelled");
+}
+
+/**
+ * Raise cancelledError() for a tripped token.  The simulators call
  * this from their polling loop; the sweep's per-point boundary
  * catches it.
  */
 [[noreturn]] inline void
 throwCancelled(const CancelToken &token)
 {
-    if (token.reason() == CancelToken::Reason::Timeout)
-        throw VcError(makeError(Errc::Timeout,
-                                "simulation exceeded the per-point "
-                                "deadline"));
-    throw VcError(makeError(Errc::Cancelled, "simulation cancelled"));
+    throw VcError(cancelledError(token));
 }
 
 } // namespace vcache

@@ -366,12 +366,14 @@ evaluateBatch(std::span<const EvalRequest> reqs,
 
         const TraceArena arena = buildTraceArena(first);
 
-        // The sampled engine drives its own unit scheduler; it shares
-        // the arena but not the gang pass.
+        // Only Auto members ride the gang pass, whose lanes
+        // fast-forward.  Scalar stays the element-wise reference and
+        // the sampled engine drives its own unit scheduler: both share
+        // the arena but are evaluated per point.
         std::vector<std::size_t> exact;
         exact.reserve(members.size());
         for (const std::size_t i : members) {
-            if (reqs[i].engine == SimEngine::Sampled)
+            if (reqs[i].engine != SimEngine::Auto)
                 out[i] = evaluatePoint(reqs[i], arena, tokenOf(i));
             else
                 exact.push_back(i);

@@ -9,29 +9,18 @@
  * prefetching off, no observer attached and blocking misses (the
  * paper's model), the cache never reads the clock, so the functional
  * stream -- probe outcomes, evictions, the compulsory first-touch
- * set, LRU/recency updates -- is identical for every t_m.  What
- * differs per lane is pure timing arithmetic:
+ * set, LRU/recency updates -- is identical for every t_m.
  *
- *   - hit:              clock += 1
- *   - blocking miss:    clock += 1 + t_m, stall += t_m
- *   - strip start-up:   clock += T_start(t_m) (warm strips credit t_m
- *                       back, Equation (4))
- *   - compulsory miss:  a bank issue against the lane's own clock
- *                       (the only place absolute time enters; with
- *                       no prefetching a read never waits for a bus,
- *                       see sim/cc_sim.hh)
- *
- * The gang runner walks the op stream once, probing one shared cache,
- * and accumulates the shared events (ops, strips, hits, blocking
- * misses) as plain counts.  Lane clocks only materialize at the rare
- * clock-coupled event -- a compulsory miss -- where the pending
- * counts are flushed into every lane and each lane's own
- * InterleavedMemory replica is driven exactly as the element-wise
- * simulator would drive it.  Each lane's SimResult is
- * therefore bit-identical to a solo CcSimulator run of that t_m
- * (Auto, Scalar and the gang all pin to the same element-wise
- * semantics; tests/sim/gang_test.cc holds the line), at roughly the
- * cost of one run instead of N.
+ * simulateCcGang() is the N-lane instantiation of the CC walker
+ * (sim/cc_walker.hh, which states the timing rules): one walk, with
+ * the gang probe and the run memo, over one shared cache.  Countable
+ * events land in every lane as one multiply-add chain; each
+ * compulsory miss is resolved against every lane's own bank replica.
+ * Each lane's SimResult is therefore bit-identical to a solo
+ * CcSimulator run of that t_m (tests/sim/gang_test.cc and
+ * tests/sim/cc_fuzz_test.cc hold the line), at roughly the cost of
+ * one run instead of N.  The gang probe follows VCACHE_GANG
+ * (simd::gangReplayDefault()).
  *
  * Restrictions (callers fall back to per-lane simulation otherwise):
  * no prefetching, no observer, blocking misses only -- exactly the

@@ -1,19 +1,20 @@
 #include "sim/sampling.hh"
 
 #include <algorithm>
-#include <cerrno>
 #include <cmath>
 #include <cstdlib>
 #include <memory>
 #include <optional>
 
+#include "obs/observer.hh"
 #include "sim/cc_sim.hh"
+#include "sim/cc_walker.hh"
 #include "sim/checkpoint.hh"
 #include "sim/mm_sim.hh"
-#include "simd/kernels.hh"
 #include "trace/source.hh"
 #include "util/flat_hash.hh"
 #include "util/logging.hh"
+#include "util/parse.hh"
 #include "util/stats.hh"
 #include "util/threadpool.hh"
 
@@ -193,119 +194,6 @@ measurePoints(std::vector<LivePoint> &points, unsigned jobs,
     return Expected<void>{};
 }
 
-/** CcSimulator::appendOpState's twin for the functional warmer. */
-bool
-appendOpState(const Cache &cache, const VectorOp &op,
-              std::vector<std::uint64_t> &out)
-{
-    if (!cache.appendRunState(op.first.base, op.first.stride,
-                              op.first.length, out))
-        return false;
-    if (op.second) {
-        const std::uint64_t length =
-            std::min(op.second->length, op.first.length);
-        return cache.appendRunState(op.second->base,
-                                    op.second->stride, length, out);
-    }
-    return true;
-}
-
-/**
- * Lines the functional pass has brought in: a set for the walk's
- * first-touch test, plus the same lines in first-touch order.  The
- * set is presized for the whole trace's read footprint, so early in
- * the walk its slots are mostly empty; each live-point capture scans
- * the dense `order` instead.
- */
-struct TouchedLines
-{
-    FlatSet<Addr> set;
-    std::vector<Addr> order;
-
-    void
-    insert(Addr line)
-    {
-        if (set.insert(line))
-            order.push_back(line);
-    }
-
-    void
-    clear()
-    {
-        set.clear();
-        order.clear();
-    }
-};
-
-/**
- * Functionally walk one op: every load element probes the cache
- * (misses fill and update replacement exactly as the detailed
- * simulator would).  Stores never probe the cache (the write buffer
- * bypasses it), matching CcSimulator::stripLoop; strip boundaries do
- * not reorder accesses, so the flat element loop reproduces the
- * detailed access order.
- *
- * @return misses this op caused
- */
-std::uint64_t
-walkOp(Cache &cache, const VectorOp &op, TouchedLines &touched,
-       bool gang_warm)
-{
-    const AddressLayout &layout = cache.addressLayout();
-    const VectorRef *second = op.second ? &op.second.value() : nullptr;
-    std::uint64_t misses = 0;
-
-    const auto touch = [&](Addr word) {
-        const Addr line = layout.lineAddress(word);
-        if (!cache.lookupAndFill(line).hit) {
-            touched.insert(line);
-            ++misses;
-        }
-    };
-
-    // Gang warming: on mappings whose read hits are inert, a gang
-    // whose probeHitMask() is all-ones needs no fills, no touched
-    // inserts and no miss counts -- skip it wholesale and only
-    // element-walk gangs containing at least one miss.  This is the
-    // sampling engine's dominant cost when live-points land in
-    // already-warmed windows.
-    if (gang_warm && cache.readHitsAreInert()) {
-        constexpr unsigned kGang = 16;
-        for (std::uint64_t i = 0; i < op.first.length;) {
-            const unsigned g = static_cast<unsigned>(
-                std::min<std::uint64_t>(kGang, op.first.length - i));
-            std::uint32_t hits = cache.probeStrideHitMask(
-                op.first.element(i), op.first.stride, g);
-            unsigned g2 = 0;
-            if (second && i < second->length) {
-                g2 = static_cast<unsigned>(std::min<std::uint64_t>(
-                    g, second->length - i));
-                hits |= cache.probeStrideHitMask(
-                            second->element(i), second->stride, g2)
-                        << g;
-            }
-            const unsigned total = g + g2;
-            if (hits == simd::fullMask(total)) {
-                i += g;
-                continue;
-            }
-            for (unsigned j = 0; j < g; ++j, ++i) {
-                touch(op.first.element(i));
-                if (second && i < second->length)
-                    touch(second->element(i));
-            }
-        }
-        return misses;
-    }
-
-    for (std::uint64_t i = 0; i < op.first.length; ++i) {
-        touch(op.first.element(i));
-        if (second && i < second->length)
-            touch(second->element(i));
-    }
-    return misses;
-}
-
 /** Inclusive line-address interval one vector stream covers. */
 struct LineRange
 {
@@ -425,8 +313,9 @@ publishCounters(const SamplingEstimate &est, ObsRegistry *registry)
                       "auto-tune rounds until the CI target or trace "
                       "exhaustion") += est.rounds;
     registry->counter("sampling.warming_ppm",
-                      "elements walked element-wise by the functional "
-                      "warmer, ppm of the trace") +=
+                      "elements of the ops the functional warmer walked "
+                      "rather than replayed from its run memo, ppm of "
+                      "the trace") +=
         static_cast<std::uint64_t>(est.warmingFraction * 1e6);
     registry->counter("sampling.achieved_ci_ppm",
                       "final relative CI half-width, ppm") +=
@@ -459,15 +348,12 @@ newSampleUnits(std::uint64_t total, std::uint64_t k,
 Expected<std::uint64_t>
 parseWord(const std::string &text)
 {
-    const char *begin = text.c_str();
-    char *end = nullptr;
-    errno = 0;
-    const unsigned long long value = std::strtoull(begin, &end, 10);
-    if (end == begin || *end != '\0' || errno != 0)
+    std::uint64_t value = 0;
+    if (parseWhole(text, value) != ParseStatus::Ok)
         return makeError(Errc::MalformedTrace,
                          "live-point field '" + text +
                              "' is not an unsigned integer");
-    return static_cast<std::uint64_t>(value);
+    return value;
 }
 
 } // namespace
@@ -593,10 +479,17 @@ sampleCc(const MachineParams &machine, const CacheConfig &cache_config,
         return cache_or.error();
     const std::unique_ptr<Cache> cache = std::move(cache_or.value());
     const AddressLayout &layout = cache->addressLayout();
-    // Reserved once here for the trace's read footprint; each
-    // round's clear() keeps the capacity.
-    TouchedLines touched;
-    touched.set.reserve(readFootprintBound(trace));
+    // The lines the functional pass has brought in: a set for the
+    // walker's first-touch test, plus the same lines in first-touch
+    // order.  The set is reserved once here for the trace's read
+    // footprint (each round's clear() keeps the capacity), so early in
+    // the walk its slots are mostly empty; each live-point capture
+    // scans the dense order instead.
+    FlatSet<Addr> touched;
+    touched.reserve(readFootprintBound(trace));
+    std::vector<Addr> touch_order;
+    const CcWalkOptions walk_opts{machine.mvl, opts.gangWarm, true,
+                                  false};
 
     std::vector<std::unique_ptr<CcSimulator>> sims;
     for (unsigned w = 0; w < std::max(opts.jobs, 1u); ++w) {
@@ -612,110 +505,83 @@ sampleCc(const MachineParams &machine, const CacheConfig &cache_config,
     const auto measure = [&](const LivePoint &lp, unsigned worker) {
         return measureCcPoint(*sims[worker], trace, lp);
     };
-
     try {
         for (;;) {
             ++est.rounds;
             const std::vector<std::uint64_t> fresh =
                 newSampleUnits(total, k, offset, results);
 
-            // One functional pass over the whole trace, capturing a
-            // live-point for every fresh unit.  The pass is
+            // One functional pass over the whole trace -- the walker
+            // with zero timing lanes -- capturing a live-point for
+            // every fresh unit at its op boundary.  The pass is
             // deterministic, so units captured in earlier rounds are
             // simply not re-captured.
             cache->reset();
             touched.clear();
+            touch_order.clear();
             std::vector<LivePoint> pending;
             std::size_t next_fresh = 0;
             std::uint64_t walked = 0;
 
-            // Fixed-point memo: once a repeat of `memo_op` with zero
-            // misses provably left the cache untouched, later repeats
-            // are skipped outright.
-            VectorOp memo_op;
-            bool memo_valid = false;
-            bool memo_fixed = false;
-            std::uint64_t memo_misses = 1;
-            std::vector<std::uint64_t> before;
-            std::vector<std::uint64_t> after;
-
-            for (std::size_t op_idx = 0; op_idx < trace.size();
-                 ++op_idx) {
-                if (opts.cancel && opts.cancel->cancelled())
-                    throwCancelled(*opts.cancel);
-
-                while (next_fresh < fresh.size() &&
-                       captureOpOf(units[fresh[next_fresh]],
-                                   opts.warmupOps) == op_idx) {
-                    const std::uint64_t u = fresh[next_fresh++];
-                    LivePoint lp;
-                    lp.unit = u;
-                    lp.captureOp = op_idx;
-                    lp.unitBegin = units[u].opBegin;
-                    lp.unitEnd = units[u].opEnd;
-                    cache->captureState(lp.cacheState);
-                    // Seed the measurement's compulsory-miss
-                    // classification with every already-touched line
-                    // the warming prefix or window can re-touch.  A
-                    // superset of the actual re-touches is harmless
-                    // (the simulator only consults the set for lines
-                    // it accesses), and the interval filter is a
-                    // per-capture scan of the touched lines instead
-                    // of per-element bookkeeping on the walk's hot
-                    // path.
-                    const std::vector<LineRange> ranges =
-                        windowLineRanges(layout, trace, op_idx,
-                                         lp.unitEnd);
-                    for (const Addr line : touched.order) {
-                        for (const LineRange &r : ranges) {
-                            if (line >= r.lo && line <= r.hi) {
-                                lp.prewarmedLines.push_back(line);
-                                break;
+            withConcreteCache(*cache, [&](auto &concrete) {
+                NullObserver obs;
+                CcWalker<std::remove_reference_t<decltype(concrete)>,
+                         LaneCount::Zero, NullObserver>
+                    walker(concrete, touched, {}, walk_opts, obs);
+                walker.firstTouchOrder = &touch_order;
+                for (std::size_t op_idx = 0; op_idx < trace.size();
+                     ++op_idx) {
+                    if (opts.cancel && opts.cancel->cancelled())
+                        throwCancelled(*opts.cancel);
+                    while (next_fresh < fresh.size() &&
+                           captureOpOf(units[fresh[next_fresh]],
+                                       opts.warmupOps) == op_idx) {
+                        const std::uint64_t u = fresh[next_fresh++];
+                        LivePoint lp;
+                        lp.unit = u;
+                        lp.captureOp = op_idx;
+                        lp.unitBegin = units[u].opBegin;
+                        lp.unitEnd = units[u].opEnd;
+                        cache->captureState(lp.cacheState);
+                        // Seed the measurement's compulsory-miss
+                        // classification with every already-touched
+                        // line the warming prefix or window can
+                        // re-touch.  A superset of the actual
+                        // re-touches is harmless (the simulator only
+                        // consults the set for lines it accesses), and
+                        // the interval filter is a per-capture scan of
+                        // the touched lines instead of per-element
+                        // bookkeeping on the walk.
+                        const std::vector<LineRange> ranges =
+                            windowLineRanges(layout, trace, op_idx,
+                                             lp.unitEnd);
+                        for (const Addr line : touch_order) {
+                            for (const LineRange &r : ranges) {
+                                if (line >= r.lo && line <= r.hi) {
+                                    lp.prewarmedLines.push_back(line);
+                                    break;
+                                }
                             }
                         }
+                        // Sorted lines make the journal rows canonical.
+                        std::sort(lp.prewarmedLines.begin(),
+                                  lp.prewarmedLines.end());
+                        if (journal)
+                            require(journal->recordDone(
+                                u, encodeLivePoint(lp)));
+                        pending.push_back(std::move(lp));
                     }
-                    // Sorted lines make the journal rows canonical.
-                    std::sort(lp.prewarmedLines.begin(),
-                              lp.prewarmedLines.end());
-                    if (journal)
-                        require(journal->recordDone(
-                            u, encodeLivePoint(lp)));
-                    pending.push_back(std::move(lp));
+                    walker.step(trace[op_idx]);
+                    if (pending.size() >= kMeasureChunk)
+                        require(measurePoints(pending, opts.jobs,
+                                              results, measure));
                 }
-
-                const VectorOp &op = trace[op_idx];
-                if (!memo_valid || !memo_fixed || !(op == memo_op)) {
-                    const bool certify = memo_valid && !memo_fixed &&
-                                         memo_misses == 0 &&
-                                         op == memo_op;
-                    bool state_ok = false;
-                    if (certify) {
-                        before.clear();
-                        state_ok = appendOpState(*cache, op, before);
-                    }
-                    const std::uint64_t misses =
-                        walkOp(*cache, op, touched, opts.gangWarm);
-                    walked += op.first.length;
-                    if (!memo_valid || !(op == memo_op)) {
-                        memo_op = op;
-                        memo_valid = true;
-                        memo_fixed = false;
-                    } else if (certify && state_ok && misses == 0) {
-                        after.clear();
-                        memo_fixed = appendOpState(*cache, op, after) &&
-                                     before == after;
-                    }
-                    memo_misses = misses;
-                }
-
-                if (pending.size() >= kMeasureChunk)
-                    require(measurePoints(pending, opts.jobs, results,
-                                          measure));
-            }
-            vc_assert(next_fresh == fresh.size(),
-                      "sampling walk missed a capture point");
-            require(
-                measurePoints(pending, opts.jobs, results, measure));
+                walked = walker.walkedElements;
+                vc_assert(next_fresh == fresh.size(),
+                          "sampling walk missed a capture point");
+                require(measurePoints(pending, opts.jobs, results,
+                                      measure));
+            });
             est.warmingFraction =
                 est.elementsTotal
                     ? static_cast<double>(walked) /

@@ -43,10 +43,10 @@
  *
  * The MM-model machine carries no functional state at all, so its
  * sampler simply skips unsampled units; its speedup is the sampling
- * factor itself.  The CC sampler's functional walk additionally
- * memo-skips repeated identical ops once a zero-miss pass provably
- * left the cache unchanged -- valid for every cache organization,
- * including those the run-batched engine refuses.
+ * factor itself.  The CC sampler's functional walk is the CC walker
+ * with zero timing lanes (sim/cc_walker.hh): it shares the solo
+ * engine's gang probe and run memo, so repeats of an op are skipped
+ * once a memo tier certifies them.
  */
 
 #ifndef VCACHE_SIM_SAMPLING_HH
@@ -106,10 +106,10 @@ struct SamplingOptions
     bool nonBlocking = false;
 
     /**
-     * Gang-probe the warming walk on mappings whose read hits are
-     * inert (see simd::Kernels::strideProbe), skipping all-hit gangs
-     * wholesale.  Defaults to the VCACHE_GANG setting; the
-     * differential tests pin both values to identical estimates.
+     * The warming walker's gang probe (sim/cc_walker.hh): on mappings
+     * whose read hits are inert, all-hit gangs are skipped wholesale.
+     * Defaults to the VCACHE_GANG setting; the differential tests pin
+     * both values to identical estimates.
      */
     bool gangWarm = simd::gangReplayDefault();
 
@@ -147,9 +147,9 @@ struct SamplingEstimate
     std::uint64_t elementsMeasured = 0;
 
     /**
-     * Elements walked element-wise by the functional warmer, as a
-     * fraction of the trace (0 for the MM machine; the memo-skipped
-     * remainder cost nothing).
+     * Elements of the ops the functional warmer walked rather than
+     * replayed from its run memo, as a fraction of the trace (0 for
+     * the MM machine; the replayed remainder cost O(1) per op).
      */
     double warmingFraction = 0.0;
 

@@ -1,13 +1,12 @@
 #include "util/cli.hh"
 
-#include <charconv>
 #include <cstdlib>
 #include <iostream>
 #include <sstream>
-#include <system_error>
 
 #include "util/buildinfo.hh"
 #include "util/logging.hh"
+#include "util/parse.hh"
 
 namespace vcache
 {
@@ -103,30 +102,25 @@ ArgParser::getString(const std::string &name) const
 namespace
 {
 
-/**
- * Parse the whole string as one number.  std::sto* silently ignores
- * trailing garbage ("--jobs=4x" became 4) and callers used to narrow
- * the result; from_chars lets us reject partial parses and report
- * overflow distinctly instead of wrapping or truncating.
- */
+/** parseWhole() with a flag-specific error (see util/parse.hh). */
 template <typename T>
 Expected<T>
-parseWhole(const std::string &flag, const std::string &v,
-           const char *kind)
+parseFlag(const std::string &flag, const std::string &v,
+          const char *kind)
 {
     T out{};
-    const char *first = v.data();
-    const char *last = v.data() + v.size();
-    const auto res = std::from_chars(first, last, out);
-    if (res.ec == std::errc::result_out_of_range)
+    switch (parseWhole(v, out)) {
+      case ParseStatus::Ok:
+        return out;
+      case ParseStatus::OutOfRange:
         return makeError(Errc::InvalidConfig,
                          "flag --" + flag + ": '" + v +
                              "' is out of range for " + kind);
-    if (res.ec != std::errc() || res.ptr != last)
-        return makeError(Errc::InvalidConfig, "flag --" + flag +
-                                                  ": '" + v +
-                                                  "' is not " + kind);
-    return out;
+      case ParseStatus::Malformed:
+        break;
+    }
+    return makeError(Errc::InvalidConfig,
+                     "flag --" + flag + ": '" + v + "' is not " + kind);
 }
 
 } // namespace
@@ -134,21 +128,21 @@ parseWhole(const std::string &flag, const std::string &v,
 Expected<std::int64_t>
 ArgParser::tryGetInt(const std::string &name) const
 {
-    return parseWhole<std::int64_t>(name, find(name).value,
+    return parseFlag<std::int64_t>(name, find(name).value,
                                     "an integer");
 }
 
 Expected<std::uint64_t>
 ArgParser::tryGetUint(const std::string &name) const
 {
-    return parseWhole<std::uint64_t>(name, find(name).value,
+    return parseFlag<std::uint64_t>(name, find(name).value,
                                      "a non-negative integer");
 }
 
 Expected<double>
 ArgParser::tryGetDouble(const std::string &name) const
 {
-    return parseWhole<double>(name, find(name).value, "a number");
+    return parseFlag<double>(name, find(name).value, "a number");
 }
 
 Expected<bool>

@@ -4,6 +4,7 @@
 #include <sstream>
 
 #include "util/logging.hh"
+#include "util/parse.hh"
 
 namespace vcache
 {
@@ -176,19 +177,12 @@ KeyValueConfig::tryGetUint(const std::string &key,
     const auto *v = find(key);
     if (!v)
         return def;
-    try {
-        if (!v->value.empty() && v->value[0] == '-')
-            throw std::invalid_argument("negative");
-        std::size_t used = 0;
-        const auto parsed = std::stoull(v->value, &used);
-        if (used != v->value.size())
-            throw std::invalid_argument("trailing");
-        return parsed;
-    } catch (...) {
+    std::uint64_t parsed = 0;
+    if (parseWhole(v->value, parsed) != ParseStatus::Ok)
         return makeError(Errc::InvalidConfig,
                          describeKey(key, *v) + ": '" + v->value +
                              "' is not a non-negative integer");
-    }
+    return parsed;
 }
 
 std::uint64_t

@@ -8,6 +8,7 @@
 #include <thread>
 #include <vector>
 
+#include "util/parse.hh"
 #include "util/rng.hh"
 
 namespace vcache
@@ -124,9 +125,7 @@ parseFaultSpec(const std::string &spec, std::uint64_t seed)
         } else if (action.rfind("stall:", 0) == 0) {
             rule.action = Action::Stall;
             const std::string ms = action.substr(6);
-            char *parse_end = nullptr;
-            rule.stallMillis = std::strtoull(ms.c_str(), &parse_end, 10);
-            if (ms.empty() || *parse_end != '\0')
+            if (parseWhole(ms, rule.stallMillis) != ParseStatus::Ok)
                 return makeError(Errc::InvalidConfig,
                                  "bad stall duration '" + ms +
                                      "' in fault rule for '" + site +
@@ -140,9 +139,8 @@ parseFaultSpec(const std::string &spec, std::uint64_t seed)
 
         if (trigger.rfind("every:", 0) == 0) {
             const std::string n = trigger.substr(6);
-            char *parse_end = nullptr;
-            rule.every = std::strtoull(n.c_str(), &parse_end, 10);
-            if (n.empty() || *parse_end != '\0' || rule.every == 0)
+            if (parseWhole(n, rule.every) != ParseStatus::Ok ||
+                rule.every == 0)
                 return makeError(Errc::InvalidConfig,
                                  "bad every:<N> trigger '" + trigger +
                                      "' in fault rule for '" + site +

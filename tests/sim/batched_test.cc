@@ -20,6 +20,7 @@
 #include <utility>
 #include <vector>
 
+#include "cache_schemes.hh"
 #include "core/defaults.hh"
 #include "sim/cc_sim.hh"
 #include "sim/mm_sim.hh"
@@ -57,49 +58,6 @@ expectSameStats(const CacheStats &got, const CacheStats &want,
     EXPECT_EQ(got.misses, want.misses) << label;
     EXPECT_EQ(got.evictions, want.evictions) << label;
     EXPECT_EQ(got.writebacks, want.writebacks) << label;
-}
-
-/** All five cache organizations the library ships. */
-std::vector<std::pair<std::string, CacheConfig>>
-allSchemes()
-{
-    std::vector<std::pair<std::string, CacheConfig>> out;
-
-    CacheConfig direct;
-    out.emplace_back("direct", direct);
-
-    CacheConfig prime;
-    prime.organization = Organization::PrimeMapped;
-    out.emplace_back("prime", prime);
-
-    CacheConfig prime_assoc;
-    prime_assoc.organization = Organization::PrimeSetAssociative;
-    prime_assoc.associativity = 2;
-    out.emplace_back("prime-assoc", prime_assoc);
-
-    CacheConfig set_assoc;
-    set_assoc.organization = Organization::SetAssociative;
-    set_assoc.associativity = 4;
-    out.emplace_back("set-assoc", set_assoc);
-
-    CacheConfig xor_mapped;
-    xor_mapped.organization = Organization::XorMapped;
-    out.emplace_back("xor", xor_mapped);
-
-    // Extra stress for the snapshot tier: random replacement (whose
-    // RNG draw counter must veto extrapolation) and multi-word lines
-    // (which the closed-form tier must refuse).
-    CacheConfig random_assoc;
-    random_assoc.organization = Organization::SetAssociative;
-    random_assoc.associativity = 4;
-    random_assoc.replacement = ReplacementKind::Random;
-    out.emplace_back("set-assoc-random", random_assoc);
-
-    CacheConfig wide_lines;
-    wide_lines.offsetBits = 2;
-    out.emplace_back("direct-4word", wide_lines);
-
-    return out;
 }
 
 VcmParams

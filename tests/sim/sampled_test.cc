@@ -337,6 +337,12 @@ TEST(SamplingLivePoints, DecodeRejectsCorruptRows)
     EXPECT_FALSE(decodeLivePoint(0, {"1", "2", "3", "nope"}).ok());
     // Declared cache words exceed the row.
     EXPECT_FALSE(decodeLivePoint(0, {"1", "2", "3", "9", "5"}).ok());
+    // Fields are unsigned and must be the whole string: no sign (a
+    // negated "-1" used to wrap to 2^64 - 1), no leading space.
+    EXPECT_FALSE(decodeLivePoint(0, {"-1", "0", "1", "0"}).ok());
+    EXPECT_FALSE(decodeLivePoint(0, {" 7", "0", "1", "0"}).ok());
+    EXPECT_FALSE(decodeLivePoint(0, {"+7", "0", "1", "0"}).ok());
+    EXPECT_FALSE(decodeLivePoint(0, {"0", "0", "1", "1", "-1"}).ok());
 }
 
 TEST(SamplingLivePoints, JournalRoundTripsThroughTheCheckpoint)

@@ -170,6 +170,14 @@ TEST(KeyValueConfigTry, TypedGetterErrorsNameKeyAndDefinitionLine)
     EXPECT_EQ(c.value().lineOf("absent"), 0u);
 }
 
+TEST(KeyValueConfigTry, UnsignedValuesTakeNoSign)
+{
+    const auto c = tryParseText("plus = +7\nok = 7\n");
+    ASSERT_TRUE(c.ok());
+    EXPECT_FALSE(c.value().tryGetUint("plus", 0).ok());
+    EXPECT_EQ(c.value().tryGetUint("ok", 0).valueOr(0), 7u);
+}
+
 TEST(KeyValueConfigTry, TryGetDoubleAndBool)
 {
     const auto c = tryParseText("x = 2.5\nb = yes\nbad = maybe\n");

@@ -81,6 +81,14 @@ TEST(FaultSpec, RejectsMalformedSpecs)
         "site=throw@prob:-0.5",
         "site=stall@every:2",
         "site=stall:x@every:2",
+        // Unsigned fields take no sign and no leading space: a
+        // negated stall used to wrap to an effectively endless sleep.
+        "site=stall:-5@every:1",
+        "site=stall: 7@every:1",
+        "site=stall:+7@every:1",
+        "site=throw@every:-1",
+        "site=throw@every: 7",
+        "site=throw@every:+7",
         "site=explode@every:2",
         "=throw@every:2",
     };
