@@ -251,15 +251,13 @@ BENCHMARK_CAPTURE(BM_BatchedCcSimulator, batched, SimEngine::Auto,
                   true);
 
 void
-BM_BatchedMmSimulator(benchmark::State &state, SimEngine engine,
-                      bool gang)
+BM_BatchedMmSimulator(benchmark::State &state, SimEngine engine)
 {
     constexpr std::uint64_t kLength = 4096;
     constexpr std::uint64_t kRepeats = 100;
     ConstantStrideSource source(0, 3, kLength, kRepeats, true);
     MmSimulator sim(paperMachineM32());
     sim.setEngine(engine);
-    sim.setGangReplay(gang);
     for (auto _ : state) {
         sim.reset();
         source.reset();
@@ -269,12 +267,8 @@ BM_BatchedMmSimulator(benchmark::State &state, SimEngine engine,
         state.iterations() * kLength * kRepeats));
     state.SetLabel(simdBackendLabel());
 }
-BENCHMARK_CAPTURE(BM_BatchedMmSimulator, scalar, SimEngine::Scalar,
-                  true);
-BENCHMARK_CAPTURE(BM_BatchedMmSimulator, scalar_nogang,
-                  SimEngine::Scalar, false);
-BENCHMARK_CAPTURE(BM_BatchedMmSimulator, batched, SimEngine::Auto,
-                  true);
+BENCHMARK_CAPTURE(BM_BatchedMmSimulator, scalar, SimEngine::Scalar);
+BENCHMARK_CAPTURE(BM_BatchedMmSimulator, batched, SimEngine::Auto);
 
 /**
  * The sampled engine on its target workload: a long trace on a

@@ -158,13 +158,11 @@ def main(argv: list[str]) -> None:
             rate_of("BM_BatchedMmSimulator/batched"),
         "mm_batched_scalar_elements_per_s":
             rate_of("BM_BatchedMmSimulator/scalar"),
-        # Gang replay disabled on the same SoA tag state: the
+        # CC gang probe disabled on the same SoA tag state: the
         # scalar/scalar_nogang ratio is the SIMD gang speedup on this
         # host; CI gates it (see the perf smoke job).
         "cc_batched_scalar_nogang_elements_per_s":
             rate_of("BM_BatchedCcSimulator/scalar_nogang"),
-        "mm_batched_scalar_nogang_elements_per_s":
-            rate_of("BM_BatchedMmSimulator/scalar_nogang"),
         # Shared-trace multi-point evaluation (one workload key, a
         # t_m column of cache configs) next to a loop of independent
         # evaluatePoint calls; CI gates the batch/pointwise ratio.

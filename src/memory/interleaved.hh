@@ -16,7 +16,6 @@
 #include <span>
 #include <vector>
 
-#include "simd/kernels.hh"
 #include "util/faultinject.hh"
 #include "util/types.hh"
 
@@ -78,55 +77,15 @@ class InterleavedMemory
     }
 
     /**
-     * Vectorized bankOf over a gang: banks[i] = bankOf(addrs[i]) for
-     * i < n (n <= simd::kMaxGang), through the dispatched SIMD
-     * kernels.  The arbitrary-prime modulus of PrimeModulo has no
-     * cheap vector form and stays a scalar loop.
-     */
-    void
-    bankOfN(const Addr *addrs, unsigned n, std::uint64_t *banks) const
-    {
-        const simd::Kernels &k = simd::kernels();
-        switch (mapping) {
-          case BankMapping::Skewed:
-            k.skewFoldN(addrs, n, bits, banks);
-            return;
-          case BankMapping::XorHash:
-            k.xorFoldN(addrs, n, bits, banks);
-            return;
-          case BankMapping::PrimeModulo:
-            for (unsigned i = 0; i < n; ++i)
-                banks[i] = addrs[i] % m;
-            return;
-          case BankMapping::LowOrder:
-            break;
-        }
-        k.maskFrames(addrs, n, m - 1, banks);
-    }
-
-    /**
-     * Issue one request no earlier than `earliest`; the request waits
-     * until its bank is free.  Inline: this is the per-miss step of
-     * the simulator hot path.
+     * Issue one request to `bank` no earlier than `earliest`; the
+     * request waits until the bank is free.  The one bank-issue
+     * primitive: every issue -- by address, observed, or over a bank
+     * a CC walker lane already mapped -- comes through here, so the
+     * busy-horizon update and the memory.bank.issue fault site exist
+     * once.  Inline: this is the per-miss step of the simulator hot
+     * path.
      *
      * @return the cycle at which the request actually issues
-     */
-    Cycles
-    issue(Addr word_addr, Cycles earliest)
-    {
-        VCACHE_FAULT_POINT("memory.bank.issue");
-        const std::uint64_t bank = bankOf(word_addr);
-        const Cycles when = std::max(earliest, busyUntil[bank]);
-        busyUntil[bank] = when + tm;
-        return when;
-    }
-
-    /**
-     * issue() over a bank index precomputed by bankOfN(): the
-     * MM-model gang path's per-element step.  The fault-injection
-     * site fires here, once per element, exactly as in issue() --
-     * bankOfN() is pure and arms nothing, so site hit counts match
-     * the element-wise loop.
      */
     Cycles
     issueAtBank(std::uint64_t bank, Cycles earliest)
@@ -135,6 +94,13 @@ class InterleavedMemory
         const Cycles when = std::max(earliest, busyUntil[bank]);
         busyUntil[bank] = when + tm;
         return when;
+    }
+
+    /** issueAtBank() on word_addr's bank. */
+    Cycles
+    issue(Addr word_addr, Cycles earliest)
+    {
+        return issueAtBank(bankOf(word_addr), earliest);
     }
 
     /**
@@ -148,12 +114,10 @@ class InterleavedMemory
     Cycles
     issueObserved(Addr word_addr, Cycles earliest, Observer &obs)
     {
-        VCACHE_FAULT_POINT("memory.bank.issue");
         const std::uint64_t bank = bankOf(word_addr);
-        const Cycles when = std::max(earliest, busyUntil[bank]);
+        const Cycles when = issueAtBank(bank, earliest);
         if constexpr (Observer::kEnabled)
             obs.onBankIssue(earliest, bank, when - earliest);
-        busyUntil[bank] = when + tm;
         return when;
     }
 

@@ -72,47 +72,17 @@ runSampled(const EvalRequest &req, const MachineParams &machine,
     return {};
 }
 
-/** Exact engines: stream the traces, keep the full counters. */
+/**
+ * Exact engines over a point's two op streams (fresh, in order: MM
+ * then CC): keep the full counters.
+ */
 Expected<void>
 runExact(const EvalRequest &req, const MachineParams &machine,
+         TraceSource &mm_source, TraceSource &cc_source,
          const CancelToken *cancel, EvalResult &out)
 {
-    // Stream the workloads straight from the generators' RNG: a solo
-    // point never materializes its trace.  Batches *do* materialize
-    // (once per workload, into a TraceArena); generateVcmTrace()
-    // drains this same source, so the two forms replay identical op
-    // streams by construction.
     try {
-        VcmParams p = vcmPoint(req);
-        p.maxStride = machine.banks();
-        VcmTraceSource mm_source(p, req.seed);
         out.mm = simulateMm(machine, mm_source, cancel, req.engine);
-        p.maxStride = 8192;
-        VcmTraceSource cc_source(p, req.seed);
-        out.direct = simulateCc(machine, CacheScheme::Direct,
-                                cc_source, cancel, req.engine);
-        cc_source.reset();
-        out.prime = simulateCc(machine, CacheScheme::Prime, cc_source,
-                               cancel, req.engine);
-    } catch (const VcError &e) {
-        return Expected<void>(e.error());
-    }
-    out.simMm = out.mm.cyclesPerResult();
-    out.simDirect = out.direct.cyclesPerResult();
-    out.simPrime = out.prime.cyclesPerResult();
-    return {};
-}
-
-/** runExact over a materialized arena: same sims, same order. */
-Expected<void>
-runExactArena(const EvalRequest &req, const MachineParams &machine,
-              const TraceArena &arena, const CancelToken *cancel,
-              EvalResult &out)
-{
-    try {
-        TraceVectorSource mm_source(arena.mm);
-        out.mm = simulateMm(machine, mm_source, cancel, req.engine);
-        TraceVectorSource cc_source(arena.cc);
         out.direct = simulateCc(machine, CacheScheme::Direct,
                                 cc_source, cancel, req.engine);
         cc_source.reset();
@@ -141,6 +111,20 @@ fillModels(const EvalRequest &req, const MachineParams &machine,
     out.modelPrime =
         evaluate(MachineKind::PrimeCache, machine, workload)
             .cyclesPerResult;
+}
+
+/**
+ * The prologue both evaluatePoint overloads share: validate the
+ * request, then fill the analytic third of its result.
+ */
+Expected<EvalResult>
+modelPoint(const EvalRequest &req, const MachineParams &machine)
+{
+    if (auto valid = validateEvalRequest(req); !valid.ok())
+        return valid.error();
+    EvalResult out;
+    fillModels(req, machine, out);
+    return out;
 }
 
 } // namespace
@@ -253,28 +237,34 @@ evalRequestKey(const EvalRequest &req)
 Expected<EvalResult>
 evaluatePoint(const EvalRequest &req, const CancelToken *cancel)
 {
-    if (auto valid = validateEvalRequest(req); !valid.ok())
-        return valid.error();
-
     const MachineParams machine = evalMachine(req);
-    EvalResult out;
-    fillModels(req, machine, out);
-    if (!req.sim)
-        return out;
+    Expected<EvalResult> point = modelPoint(req, machine);
+    if (!point.ok() || !req.sim)
+        return point;
+    EvalResult &out = point.value();
 
+    Expected<void> ran;
     if (req.engine == SimEngine::Sampled) {
         // The sampled engine needs materialized traces anyway; build
         // this point's private arena.
         const TraceArena arena = buildTraceArena(req);
-        if (auto ran = runSampled(req, machine, arena.mm, arena.cc,
-                                  cancel, out);
-            !ran.ok())
-            return ran.error();
-        return out;
+        ran = runSampled(req, machine, arena.mm, arena.cc, cancel, out);
+    } else {
+        // Stream the workloads straight from the generators' RNG: a
+        // solo point never materializes its trace.  Batches *do*
+        // materialize (once per workload, into a TraceArena);
+        // generateVcmTrace() drains this same source, so the two
+        // forms replay identical op streams by construction.
+        VcmParams p = vcmPoint(req);
+        p.maxStride = machine.banks();
+        VcmTraceSource mm_source(p, req.seed);
+        p.maxStride = 8192;
+        VcmTraceSource cc_source(p, req.seed);
+        ran = runExact(req, machine, mm_source, cc_source, cancel, out);
     }
-    if (auto ran = runExact(req, machine, cancel, out); !ran.ok())
+    if (!ran.ok())
         return ran.error();
-    return out;
+    return point;
 }
 
 std::string
@@ -307,23 +297,23 @@ Expected<EvalResult>
 evaluatePoint(const EvalRequest &req, const TraceArena &arena,
               const CancelToken *cancel)
 {
-    if (auto valid = validateEvalRequest(req); !valid.ok())
-        return valid.error();
-
     const MachineParams machine = evalMachine(req);
-    EvalResult out;
-    fillModels(req, machine, out);
-    if (!req.sim)
-        return out;
+    Expected<EvalResult> point = modelPoint(req, machine);
+    if (!point.ok() || !req.sim)
+        return point;
+    EvalResult &out = point.value();
 
-    const auto ran =
-        req.engine == SimEngine::Sampled
-            ? runSampled(req, machine, arena.mm, arena.cc, cancel,
-                         out)
-            : runExactArena(req, machine, arena, cancel, out);
+    Expected<void> ran;
+    if (req.engine == SimEngine::Sampled) {
+        ran = runSampled(req, machine, arena.mm, arena.cc, cancel, out);
+    } else {
+        TraceVectorSource mm_source(arena.mm);
+        TraceVectorSource cc_source(arena.cc);
+        ran = runExact(req, machine, mm_source, cc_source, cancel, out);
+    }
     if (!ran.ok())
         return ran.error();
-    return out;
+    return point;
 }
 
 std::vector<Expected<EvalResult>>

@@ -31,67 +31,10 @@ MmSimulator::run(const Trace &trace)
 SimResult
 MmSimulator::run(TraceSource &source)
 {
-    // Sampled is driven from sim/sampling.hh; per-unit slices run
-    // through the batched engine like Auto.
-    if (engineKind != SimEngine::Scalar)
-        return runBatched(source);
-    // The NullObserver instantiation IS the production fast path.
+    // The NullObserver instantiation IS the production path: its
+    // hooks compile away and eligible ops fast-forward.
     NullObserver obs;
     return run(source, obs);
-}
-
-SimResult
-MmSimulator::runBatched(TraceSource &source)
-{
-    SimResult result;
-    NullObserver obs;
-    const std::uint64_t mvl = machine.mvl;
-
-    VectorOp op;
-    while (source.next(op)) {
-        if (cancel && cancel->cancelled())
-            throwCancelled(*cancel);
-        clock += static_cast<Cycles>(machine.blockOverhead);
-
-        // Strips holding second-stream elements replay element-wise;
-        // the single-stream tail after them starts on a strip
-        // boundary with every bank and both read buses free -- the
-        // closed form's base case.  Eligibility is settled before the
-        // first strip issues, so an op never falls back part-way.
-        const VectorRef *second =
-            op.second ? &op.second.value() : nullptr;
-        std::uint64_t head = 0;
-        if (second) {
-            const std::uint64_t reach =
-                std::min(op.first.length, second->length);
-            head = std::min(op.first.length,
-                            (reach + mvl - 1) / mvl * mvl);
-        }
-        const VectorRef tail{op.first.element(head), op.first.stride,
-                             op.first.length - head};
-        if (!canFastForward(tail))
-            head = op.first.length;
-
-        for (std::uint64_t done = 0; done < head; done += mvl) {
-            clock += static_cast<Cycles>(machine.stripOverhead +
-                                         machine.startupTime());
-            const std::uint64_t count =
-                std::min<std::uint64_t>(mvl, op.first.length - done);
-            issueStrip(op.first, second, done, count, result, obs);
-        }
-        if (head < op.first.length)
-            fastForwardRun(tail, result);
-
-        // Stores drain through the write bus without stalling the
-        // pipeline; the write bus is reserved live even on
-        // fast-forwarded ops (its wait accounting depends on
-        // absolute time).
-        if (op.store)
-            buses.reserveWrites(clock, op.store->length);
-    }
-
-    result.totalCycles = clock;
-    return result;
 }
 
 bool

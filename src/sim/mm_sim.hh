@@ -10,11 +10,14 @@
  * formulas approximate, so the two are cross-checked in tests and in
  * the validation bench.
  *
- * The run loop is a member template over an Observer policy (the same
- * split as CcSimulator): the plain run() overloads instantiate it
- * with the zero-cost NullObserver, while run(source, obs) with a
- * TracingObserver sees every vector op, bank issue/conflict and bus
- * wait with cycle stamps.
+ * There is one op loop and one strip-issue loop, both member
+ * templates over an Observer policy (the same split as CcSimulator):
+ * the plain run() overloads instantiate them with the zero-cost
+ * NullObserver, while run(source, obs) with a TracingObserver sees
+ * every vector op, bank issue/conflict and bus wait with cycle
+ * stamps.  The only engine choice is made per op, before its first
+ * strip: fast-forward the op's single-stream tail in closed form, or
+ * issue every element.
  *
  * Run batching (SimEngine::Auto, the default for uninstrumented
  * runs): for a single constant-stride stream the whole conflict
@@ -38,9 +41,9 @@
  * strip boundary with every bank and both read buses free.  Skewed
  * or XOR-hashed mappings, a PrimeModulo tail that wraps, armed
  * fault-injection plans (the batched path would skip the per-element
- * memory.bank.issue sites), and SimEngine::Scalar replay the whole
- * op element-wise; that choice is made before the op's first strip.
- * Equivalence is pinned by tests/sim/batched_test.cc.
+ * memory.bank.issue sites), instrumented runs and SimEngine::Scalar
+ * replay the whole op element-wise.  Equivalence is pinned by
+ * tests/sim/batched_test.cc and tests/sim/mm_fuzz_test.cc.
  */
 
 #ifndef VCACHE_SIM_MM_SIM_HH
@@ -97,17 +100,6 @@ class MmSimulator
     void reset();
 
     /**
-     * Gang address generation (default on; VCACHE_GANG=off reverts):
-     * uninstrumented strips precompute each gang's element addresses
-     * and bank indices through the dispatched SIMD kernels, then
-     * drive the (inherently serial) per-element bank/bus issue from
-     * the precomputed arrays.  Timing, bank state and fault-injection
-     * site counts are identical either way.
-     */
-    void setGangReplay(bool on) { gangReplay = on; }
-    bool gangReplayEnabled() const { return gangReplay; }
-
-    /**
      * Cooperative cancellation: polled once per vector operation; a
      * tripped token raises VcError(Timeout|Cancelled) out of run().
      */
@@ -116,22 +108,11 @@ class MmSimulator
     const MachineParams &params() const { return machine; }
 
   private:
-    /** Bank-issue addresses precomputed per gang (see setGangReplay). */
-    static constexpr unsigned kGang = 16;
-
     /** Issue one strip of up to MVL elements from one or two streams. */
     template <typename Observer>
     void issueStrip(const VectorRef &first, const VectorRef *second,
                     std::uint64_t offset, std::uint64_t count,
                     SimResult &result, Observer &obs);
-
-    /** The gang-precomputed issueStrip (uninstrumented only). */
-    void issueStripGang(const VectorRef &first,
-                        const VectorRef *second, std::uint64_t offset,
-                        std::uint64_t count, SimResult &result);
-
-    /** The run-batched whole-run loop (uninstrumented only). */
-    SimResult runBatched(TraceSource &source);
 
     /**
      * Whether fastForwardRun() is exact for `ref` (see the file
@@ -152,60 +133,9 @@ class MmSimulator
     InterleavedMemory memory;
     BusSet buses;
     Cycles clock = 0;
-    bool gangReplay = simd::gangReplayDefault();
     SimEngine engineKind = SimEngine::Auto;
     const CancelToken *cancel = nullptr;
 };
-
-inline void
-MmSimulator::issueStripGang(const VectorRef &first,
-                            const VectorRef *second,
-                            std::uint64_t offset, std::uint64_t count,
-                            SimResult &result)
-{
-    const simd::Kernels &k = simd::kernels();
-    std::uint64_t banks1[kGang];
-    std::uint64_t banks2[kGang];
-    std::uint64_t addrs[kGang];
-
-    for (std::uint64_t i = 0; i < count;) {
-        const unsigned g = static_cast<unsigned>(
-            std::min<std::uint64_t>(kGang, count - i));
-        // Address generation and bank mapping for the whole gang in
-        // one SIMD pass each; the serial part below only walks
-        // per-bank busy horizons and the bus rotors.
-        k.strideLines(first.element(offset + i), first.stride, g, 0,
-                      addrs);
-        memory.bankOfN(addrs, g, banks1);
-        unsigned g2 = 0;
-        if (second && offset + i < second->length) {
-            const std::uint64_t left = second->length - (offset + i);
-            g2 = static_cast<unsigned>(
-                std::min<std::uint64_t>(g, left));
-            k.strideLines(second->element(offset + i), second->stride,
-                          g2, 0, addrs);
-            memory.bankOfN(addrs, g2, banks2);
-        }
-
-        for (unsigned j = 0; j < g; ++j) {
-            Cycles ready = clock;
-            {
-                const Cycles bus = buses.reserveRead(ready);
-                const Cycles when = memory.issueAtBank(banks1[j], bus);
-                ready = std::max(ready, when);
-            }
-            if (j < g2) {
-                const Cycles bus = buses.reserveRead(clock);
-                const Cycles when = memory.issueAtBank(banks2[j], bus);
-                ready = std::max(ready, when);
-            }
-            result.stallCycles += ready - clock;
-            clock = ready + 1; // in-order pipeline: next issue slot
-            ++result.results;
-        }
-        i += g;
-    }
-}
 
 template <typename Observer>
 void
@@ -213,13 +143,6 @@ MmSimulator::issueStrip(const VectorRef &first, const VectorRef *second,
                         std::uint64_t offset, std::uint64_t count,
                         SimResult &result, Observer &obs)
 {
-    if constexpr (!Observer::kEnabled) {
-        if (gangReplay) {
-            issueStripGang(first, second, offset, count, result);
-            return;
-        }
-    }
-
     for (std::uint64_t i = 0; i < count; ++i) {
         Cycles ready = clock;
 
@@ -250,6 +173,7 @@ SimResult
 MmSimulator::run(TraceSource &source, Observer &obs)
 {
     SimResult result;
+    const std::uint64_t mvl = machine.mvl;
 
     // The MM machine has no cache: observers see a zero-set domain.
     if constexpr (Observer::kEnabled)
@@ -263,21 +187,42 @@ MmSimulator::run(TraceSource &source, Observer &obs)
         if constexpr (Observer::kEnabled)
             obs.onVectorOpBegin(clock, op);
 
+        // Strips holding second-stream elements issue element-wise;
+        // the single-stream tail after them starts on a strip
+        // boundary with every bank and both read buses free -- the
+        // closed form's base case.  Fast-forward is settled before
+        // the first strip issues, so an op never falls back
+        // part-way; observed runs and the Scalar engine issue every
+        // element.
         const VectorRef *second =
             op.second ? &op.second.value() : nullptr;
+        std::uint64_t head = 0;
+        if (second) {
+            const std::uint64_t reach =
+                std::min(op.first.length, second->length);
+            head = std::min(op.first.length,
+                            (reach + mvl - 1) / mvl * mvl);
+        }
+        const VectorRef tail{op.first.element(head), op.first.stride,
+                             op.first.length - head};
+        if (Observer::kEnabled || engineKind == SimEngine::Scalar ||
+            !canFastForward(tail))
+            head = op.first.length;
 
-        for (std::uint64_t done = 0; done < op.first.length;
-             done += machine.mvl) {
+        for (std::uint64_t done = 0; done < head; done += mvl) {
             clock += static_cast<Cycles>(machine.stripOverhead +
                                          machine.startupTime());
             const std::uint64_t count =
-                std::min<std::uint64_t>(machine.mvl,
-                                        op.first.length - done);
+                std::min<std::uint64_t>(mvl, op.first.length - done);
             issueStrip(op.first, second, done, count, result, obs);
         }
+        if (head < op.first.length)
+            fastForwardRun(tail, result);
 
         // Stores drain through the write bus without stalling the
-        // pipeline (the paper's write-buffer assumption).
+        // pipeline (the paper's write-buffer assumption); the write
+        // bus is reserved live even on fast-forwarded ops (its wait
+        // accounting depends on absolute time).
         if (op.store)
             buses.reserveWrites(clock, op.store->length);
         if constexpr (Observer::kEnabled)

@@ -11,6 +11,7 @@
 #include "sim/cc_walker.hh"
 #include "sim/checkpoint.hh"
 #include "sim/mm_sim.hh"
+#include "simd/kernels.hh"
 #include "trace/source.hh"
 #include "util/flat_hash.hh"
 #include "util/logging.hh"
@@ -488,7 +489,8 @@ sampleCc(const MachineParams &machine, const CacheConfig &cache_config,
     FlatSet<Addr> touched;
     touched.reserve(readFootprintBound(trace));
     std::vector<Addr> touch_order;
-    const CcWalkOptions walk_opts{machine.mvl, opts.gangWarm, true,
+    const CcWalkOptions walk_opts{machine.mvl,
+                                  simd::gangReplayDefault(), true,
                                   false};
 
     std::vector<std::unique_ptr<CcSimulator>> sims;

@@ -45,8 +45,8 @@
  * sampler simply skips unsampled units; its speedup is the sampling
  * factor itself.  The CC sampler's functional walk is the CC walker
  * with zero timing lanes (sim/cc_walker.hh): it shares the solo
- * engine's gang probe and run memo, so repeats of an op are skipped
- * once a memo tier certifies them.
+ * engine's gang probe (on unless VCACHE_GANG=off) and run memo, so
+ * repeats of an op are skipped once a memo tier certifies them.
  */
 
 #ifndef VCACHE_SIM_SAMPLING_HH
@@ -60,7 +60,6 @@
 #include "cache/factory.hh"
 #include "obs/registry.hh"
 #include "sim/cancel.hh"
-#include "simd/kernels.hh"
 #include "sim/result.hh"
 #include "trace/access.hh"
 #include "util/result.hh"
@@ -104,14 +103,6 @@ struct SamplingOptions
 
     /** CcSimulator::setNonBlockingMisses for the measured units. */
     bool nonBlocking = false;
-
-    /**
-     * The warming walker's gang probe (sim/cc_walker.hh): on mappings
-     * whose read hits are inert, all-hit gangs are skipped wholesale.
-     * Defaults to the VCACHE_GANG setting; the differential tests pin
-     * both values to identical estimates.
-     */
-    bool gangWarm = simd::gangReplayDefault();
 
     /**
      * When non-empty, serialize every captured live-point into this

@@ -11,9 +11,8 @@
  * of elements.
  *
  * Kernel contracts are purely elementwise and bit-exact against the
- * scalar reference (numtheory::modMersenne, Cache::frameIndex,
- * InterleavedMemory::bankOf); tests/simd pins every backend to the
- * scalar forms.  `n` is capped at kMaxGang so callers can use fixed
+ * scalar reference (numtheory::modMersenne, Cache::frameIndex);
+ * tests/simd pins every backend to the scalar forms.  `n` is capped at kMaxGang so callers can use fixed
  * stack buffers and mask arithmetic stays inside 32 bits.
  */
 
@@ -63,16 +62,6 @@ struct Kernels
     Backend backend;
     const char *name;
 
-    /**
-     * lines[i] = (Addr)(base + i*stride) >> shift for i < n: the
-     * element-address generation plus line extraction of one probe
-     * gang.  Address arithmetic wraps mod 2^64 exactly like
-     * VectorRef::element.
-     */
-    void (*strideLines)(std::uint64_t base, std::int64_t stride,
-                        unsigned n, unsigned shift,
-                        std::uint64_t *lines);
-
     /** out[i] = x[i] & mask (direct-mapped frame extraction). */
     void (*maskFrames)(const std::uint64_t *x, unsigned n,
                        std::uint64_t mask, std::uint64_t *out);
@@ -91,13 +80,6 @@ struct Kernels
                      std::uint64_t *out);
 
     /**
-     * out[i] = (x[i] + (x[i] >> bits)) & (2^bits - 1): the skewed
-     * (row-rotation) bank mapping.
-     */
-    void (*skewFoldN)(const std::uint64_t *x, unsigned n,
-                      unsigned bits, std::uint64_t *out);
-
-    /**
      * Gang tag probe against a structure-of-arrays tag plane: bit i
      * of the result is set iff tags[frames[i]] == lines[i] and
      * lines[i] != empty_tag.
@@ -114,13 +96,15 @@ struct Kernels
                                unsigned n, std::uint64_t empty_tag);
 
     /**
-     * The fused hot path: strideLines + the selected index map +
-     * gangProbe in one pass, with every intermediate kept in
-     * registers instead of bounced through stack buffers.  Bit i of
-     * the result is set iff line i = (base + i*stride) >> shift is
-     * resident under the gangProbe sentinel rule.  Semantically
-     * identical to composing the three discrete kernels; the
-     * differential tests pin both forms.
+     * The fused hot path: element-address generation, the
+     * selected index map and gangProbe in one pass, with every
+     * intermediate kept in registers instead of bounced through
+     * stack buffers.  Bit i of the result is set iff line i =
+     * (Addr)(base + i*stride) >> shift -- wrapping mod 2^64 exactly
+     * like VectorRef::element -- is resident under the gangProbe
+     * sentinel rule.  Semantically identical to the index map plus
+     * gangProbe over those lines; the differential tests pin both
+     * forms.
      */
     std::uint32_t (*strideProbe)(const std::uint64_t *tags,
                                  std::uint64_t base,
@@ -155,10 +139,11 @@ bool setActiveBackend(Backend b);
 bool parseBackend(const char *name, Backend &out);
 
 /**
- * Default for the simulators' gang-probe replay paths: true unless
- * VCACHE_GANG=off|0 is set.  Turning it off recovers the pre-gang
- * element-at-a-time loops exactly -- the differential tests' oracle
- * and the benchmark's before/after ratio denominator.
+ * Default for the CC walker's gang probe (solo runs, gang lanes and
+ * the sampling warmer): true unless VCACHE_GANG=off|0 is set.
+ * Turning it off recovers the element-at-a-time strip walk exactly --
+ * the differential tests' oracle and the benchmark's before/after
+ * ratio denominator.  The MM machine has no gang path.
  */
 bool gangReplayDefault();
 

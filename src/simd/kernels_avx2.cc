@@ -45,29 +45,6 @@ srlVar(__m256i v, unsigned s)
 }
 
 void
-strideLinesAvx2(std::uint64_t base, std::int64_t stride, unsigned n,
-                unsigned shift, std::uint64_t *lines)
-{
-    const std::uint64_t s = static_cast<std::uint64_t>(stride);
-    unsigned i = 0;
-    if (n >= 4) {
-        __m256i addr = _mm256_setr_epi64x(
-            static_cast<long long>(base),
-            static_cast<long long>(base + s),
-            static_cast<long long>(base + 2 * s),
-            static_cast<long long>(base + 3 * s));
-        const __m256i step = _mm256_set1_epi64x(
-            static_cast<long long>(4 * s));
-        for (; i + 4 <= n; i += 4) {
-            store4(lines + i, srlVar(addr, shift));
-            addr = _mm256_add_epi64(addr, step);
-        }
-    }
-    for (; i < n; ++i)
-        lines[i] = (base + s * i) >> shift;
-}
-
-void
 maskFramesAvx2(const std::uint64_t *x, unsigned n,
                std::uint64_t mask, std::uint64_t *out)
 {
@@ -128,24 +105,6 @@ xorFoldNAvx2(const std::uint64_t *x, unsigned n, unsigned c,
             h ^= v & m;
         out[i] = h;
     }
-}
-
-void
-skewFoldNAvx2(const std::uint64_t *x, unsigned n, unsigned bits,
-              std::uint64_t *out)
-{
-    const std::uint64_t mask = (std::uint64_t{1} << bits) - 1;
-    const __m256i vm =
-        _mm256_set1_epi64x(static_cast<long long>(mask));
-    unsigned i = 0;
-    for (; i + 4 <= n; i += 4) {
-        const __m256i v = load4(x + i);
-        store4(out + i,
-               _mm256_and_si256(
-                   _mm256_add_epi64(v, srlVar(v, bits)), vm));
-    }
-    for (; i < n; ++i)
-        out[i] = (x[i] + (x[i] >> bits)) & mask;
 }
 
 std::uint32_t
@@ -336,9 +295,9 @@ const Kernels *
 avx2Kernels()
 {
     static constexpr Kernels k = {
-        Backend::Avx2,   "avx2",          &strideLinesAvx2,
-        &maskFramesAvx2, &modMersenneNAvx2, &xorFoldNAvx2,
-        &skewFoldNAvx2,  &gangProbeAvx2,  &strideProbeAvx2,
+        Backend::Avx2,     "avx2",         &maskFramesAvx2,
+        &modMersenneNAvx2, &xorFoldNAvx2,  &gangProbeAvx2,
+        &strideProbeAvx2,
     };
     return &k;
 }

@@ -106,22 +106,6 @@ xorFoldN(const std::uint64_t *x, unsigned n, unsigned c,
 }
 
 template <unsigned W>
-inline void
-skewFoldN(const std::uint64_t *x, unsigned n, unsigned bits,
-          std::uint64_t *out)
-{
-    const std::uint64_t mask = (std::uint64_t{1} << bits) - 1;
-    unsigned i = 0;
-    const Lanes<W> vm = Lanes<W>::broadcast(mask);
-    for (; i + W <= n; i += W) {
-        const Lanes<W> v = Lanes<W>::load(x + i);
-        ((v + (v >> bits)) & vm).store(out + i);
-    }
-    for (; i < n; ++i)
-        out[i] = (x[i] + (x[i] >> bits)) & mask;
-}
-
-template <unsigned W>
 inline std::uint32_t
 gangProbe(const std::uint64_t *tags, const std::uint64_t *frames,
           const std::uint64_t *lines, unsigned n,
@@ -178,11 +162,9 @@ makeKernels(Backend backend, const char *name)
     return Kernels{
         backend,
         name,
-        &strideLines<W>,
         &maskFrames<W>,
         &modMersenneN<W>,
         &xorFoldN<W>,
-        &skewFoldN<W>,
         &gangProbe<W>,
         &strideProbe<W>,
     };

@@ -5,24 +5,17 @@
  * the old AoS frame vector's detail::appendFrameState encoding: both
  * the dense and the sparse form are pinned word-for-word against
  * hand-built blobs, every organization round-trips capture -> restore
- * -> capture exactly, the ~0 sentinel-resident edge survives, and a
- * sampling live-point journal written with the SIMD gang warming on
- * is byte-identical to one written with it off.
+ * -> capture exactly, and the ~0 sentinel-resident edge survives.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "cache/factory.hh"
-#include "core/defaults.hh"
-#include "sim/sampling.hh"
-#include "trace/source.hh"
 
 namespace vcache
 {
@@ -190,50 +183,6 @@ TEST(TagState, RestoreRejectsMalformedBlobs)
     // A failed restore must not have corrupted the good path.
     EXPECT_TRUE(fresh->restoreState(blob));
     EXPECT_TRUE(fresh->containsLine(3));
-}
-
-std::string
-readFile(const std::string &path)
-{
-    std::ifstream in(path, std::ios::binary);
-    std::ostringstream ss;
-    ss << in.rdbuf();
-    return ss.str();
-}
-
-/**
- * Live-point journals capture cache state blobs mid-run; the file a
- * gang-warmed sampling pass writes must be byte-identical to the
- * element-walked one (PR 6's resume certificates depend on it).
- */
-TEST(TagState, LivePointJournalBytesUnchangedByGangWarming)
-{
-    const Trace trace = [] {
-        ConstantStrideSource source(0, 3, 2048, 120, true);
-        return materializeTrace(source);
-    }();
-
-    SamplingOptions on;
-    on.seed = 11;
-    on.gangWarm = true;
-    on.livePointJournal =
-        ::testing::TempDir() + "tag_state_gang_on.journal";
-    SamplingOptions off = on;
-    off.gangWarm = false;
-    off.livePointJournal =
-        ::testing::TempDir() + "tag_state_gang_off.journal";
-
-    CacheConfig xor_mapped;
-    xor_mapped.organization = Organization::XorMapped;
-    ASSERT_TRUE(
-        sampleCc(paperMachineM32(), xor_mapped, trace, on).ok());
-    ASSERT_TRUE(
-        sampleCc(paperMachineM32(), xor_mapped, trace, off).ok());
-
-    const std::string a = readFile(on.livePointJournal);
-    const std::string b = readFile(off.livePointJournal);
-    ASSERT_FALSE(a.empty());
-    EXPECT_EQ(a, b);
 }
 
 } // namespace

@@ -1,11 +1,9 @@
 /**
  * Seeded differential fuzz of the CC walker (sim/cc_walker.hh).
  *
- * Random op streams -- single and double streams, second streams
- * shorter (and sometimes longer) than the first, every op repeated
- * one to four times so both memo tiers certify and refuse, strides
- * that are powers of two, multiples of the cache size, odd, zero and
- * negative -- run over the seven differential cache configurations.
+ * The seeded random op streams of fuzz_trace.hh -- every op repeated
+ * one to four times, so both memo tiers certify and refuse -- run
+ * over the seven differential cache configurations.
  * Every engine is pinned to the reference, the element-wise solo walk
  * (SimEngine::Scalar) with the gang probe off, at the same t_m:
  *
@@ -13,9 +11,8 @@
  *   - at t_m = 16, solo Auto and Scalar with the gang probe on and
  *     off, runVirtual (the generic virtual-dispatch walk) and
  *     non-blocking misses;
- *   - sampleCc at sampling stride 1: estimates bit-identical with
- *     gangWarm on and off, and the measured windows' hit, miss and
- *     compulsory-miss counts summing to the exact run's.
+ *   - sampleCc at sampling stride 1: the measured windows' hit,
+ *     miss and compulsory-miss counts summing to the exact run's.
  *
  * Fixed seeds and a small cache keep the whole suite to a few seconds
  * in a Debug build, so every build and backend CI ships runs it.
@@ -29,12 +26,12 @@
 #include <vector>
 
 #include "cache_schemes.hh"
+#include "fuzz_trace.hh"
 #include "core/defaults.hh"
 #include "sim/cc_sim.hh"
 #include "sim/gang.hh"
 #include "sim/sampling.hh"
 #include "trace/source.hh"
-#include "util/rng.hh"
 
 namespace vcache
 {
@@ -43,74 +40,10 @@ namespace
 
 /** Index width of the fuzzed caches: 128 lines (127 when prime). */
 constexpr unsigned kIndexBits = 7;
-constexpr std::int64_t kCacheWords = std::int64_t{1} << kIndexBits;
+static_assert(kFuzzCacheWords == std::int64_t{1} << kIndexBits);
 
 /** The t_m values every engine is pinned at. */
 constexpr std::uint64_t kMemoryTimes[] = {1, 16, 64};
-
-std::int64_t
-randomStride(Rng &rng)
-{
-    std::int64_t s = 0;
-    switch (rng.next() % 4) {
-      case 0:
-        s = std::int64_t{1} << (rng.next() % 9); // 1 .. 256
-        break;
-      case 1:
-        s = kCacheWords * static_cast<std::int64_t>(1 + rng.next() % 3);
-        break;
-      case 2:
-        s = static_cast<std::int64_t>(rng.next() % 40); // 0 and odd
-        break;
-      default:
-        s = static_cast<std::int64_t>(1 + rng.next() % 200);
-        break;
-    }
-    return rng.bernoulli(0.3) ? -s : s;
-}
-
-VectorRef
-randomRef(Rng &rng, std::uint64_t length)
-{
-    VectorRef ref;
-    ref.stride = randomStride(rng);
-    // A few shared bases make ops collide and reuse lines; all sit
-    // high enough that negative strides never wrap below zero.
-    static constexpr Addr kBases[] = {1 << 20, (1 << 20) + 64,
-                                      (1 << 20) + 4096, 3 << 20};
-    ref.base = kBases[rng.next() % 4] + rng.next() % 256;
-    ref.length = length;
-    return ref;
-}
-
-/** One seeded op stream (see the file comment). */
-Trace
-fuzzTrace(std::uint64_t seed)
-{
-    Rng rng(seed);
-    Trace trace;
-    const std::uint64_t ops = 24 + rng.next() % 16;
-    for (std::uint64_t n = 0; n < ops; ++n) {
-        // Lengths straddle the 64-element strip edges.
-        static constexpr std::uint64_t kLengths[] = {1,  7,   63,  64,
-                                                     65, 128, 200, 300};
-        VectorOp op;
-        op.first = randomRef(rng, kLengths[rng.next() % 8]);
-        if (rng.bernoulli(0.4)) {
-            const std::uint64_t len = op.first.length;
-            const std::uint64_t second =
-                rng.bernoulli(0.2) ? len + 17
-                                   : 1 + rng.next() % len; // shorter
-            op.second = randomRef(rng, second);
-        }
-        if (rng.bernoulli(0.3))
-            op.store = randomRef(rng, op.first.length);
-        const std::uint64_t repeats = 1 + rng.next() % 4;
-        for (std::uint64_t r = 0; r < repeats; ++r)
-            trace.push_back(op);
-    }
-    return trace;
-}
 
 MachineParams
 machineAt(std::uint64_t memory_time)
@@ -157,11 +90,9 @@ expectSame(const Outcome &got, const Outcome &want,
     EXPECT_EQ(got.stats.writebacks, want.stats.writebacks) << label;
 }
 
-constexpr std::uint64_t kSeeds[] = {1, 2, 3, 5, 8, 13, 21, 34};
-
 TEST(CcWalkerFuzz, EnginesMatchTheElementWiseWalk)
 {
-    for (const std::uint64_t seed : kSeeds) {
+    for (const std::uint64_t seed : kFuzzSeeds) {
         const Trace trace = fuzzTrace(seed);
         for (const auto &[name, config] : allSchemes(kIndexBits)) {
             std::vector<GangLane> lanes;
@@ -216,47 +147,32 @@ TEST(CcWalkerFuzz, EnginesMatchTheElementWiseWalk)
     }
 }
 
-TEST(CcWalkerFuzz, SampledEstimatesIgnoreGangWarming)
+TEST(CcWalkerFuzz, SampledWindowsSumToTheExactRun)
 {
-    for (const std::uint64_t seed : kSeeds) {
+    for (const std::uint64_t seed : kFuzzSeeds) {
         const Trace trace = fuzzTrace(seed);
         for (const auto &[name, config] : allSchemes(kIndexBits)) {
             const std::string label =
                 "seed " + std::to_string(seed) + " " + name;
-            SamplingOptions on;
-            on.unitElements = 400;
-            on.seed = seed;
+            SamplingOptions opts;
+            opts.unitElements = 400;
+            opts.seed = seed;
             // Stride 1: every unit is measured, so the windows'
             // functional counts must add up to the exact run's -- the
             // warmer's live-points (cache state and first-touch lines)
             // leave nothing to chance.
-            on.initialUnits = std::uint64_t{1} << 20;
-            on.gangWarm = true;
-            SamplingOptions off = on;
-            off.gangWarm = false;
-            const auto a = sampleCc(machineAt(16), config, trace, on);
-            const auto b = sampleCc(machineAt(16), config, trace, off);
-            ASSERT_TRUE(a.ok()) << label;
-            ASSERT_TRUE(b.ok()) << label;
-            EXPECT_EQ(a.value().cyclesPerElement,
-                      b.value().cyclesPerElement)
-                << label;
-            EXPECT_EQ(a.value().ciHalfWidth, b.value().ciHalfWidth)
-                << label;
-            EXPECT_EQ(a.value().unitsMeasured, b.value().unitsMeasured)
-                << label;
-            EXPECT_EQ(a.value().warmingFraction,
-                      b.value().warmingFraction)
-                << label;
-            expectSame({a.value().detailedTotals, {}},
-                       {b.value().detailedTotals, {}}, label);
+            opts.initialUnits = std::uint64_t{1} << 20;
+            const auto sampled =
+                sampleCc(machineAt(16), config, trace, opts);
+            ASSERT_TRUE(sampled.ok()) << label;
 
             const SimResult exact =
                 runSolo(machineAt(16), config, trace, SimEngine::Scalar,
                         false)
                     .result;
-            const SimResult &got = a.value().detailedTotals;
-            EXPECT_EQ(a.value().unitsMeasured, a.value().unitsTotal)
+            const SimResult &got = sampled.value().detailedTotals;
+            EXPECT_EQ(sampled.value().unitsMeasured,
+                      sampled.value().unitsTotal)
                 << label;
             EXPECT_EQ(got.results, exact.results) << label;
             EXPECT_EQ(got.hits, exact.hits) << label;

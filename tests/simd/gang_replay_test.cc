@@ -1,16 +1,15 @@
 /**
  * Gang-replay differential matrix: SimResults and cache statistics
- * must be bit-identical with the SIMD gang-probe replay on and off.
+ * must be bit-identical with the CC walker's SIMD gang probe on and
+ * off.
  *
- * Gang-off recovers the pre-gang element-at-a-time loops exactly (the
+ * Gang-off recovers the element-at-a-time strip walk exactly (the
  * VCACHE_GANG=off escape hatch), so equality here proves the gang
- * path -- all-hit fast-forwarding in CcSimulator::stripLoop, the
- * MmSimulator gang bank-issue, and the sampling walkOp gang warming
- * -- never changes what is simulated, across every cache
- * organization, workload family (including double streams), prefetch
- * and non-blocking setting, bank mapping, and with observers
- * attached.  Runs under every backend the CI matrix forces via
- * VCACHE_SIMD, so the scalar and AVX2 gangs are both pinned.
+ * probe's all-hit skip never changes what is simulated, across every
+ * cache organization, workload family (including double streams),
+ * prefetch and non-blocking setting, and with observers attached.
+ * Runs under every backend the CI matrix forces via VCACHE_SIMD, so
+ * the scalar and AVX2 gangs are both pinned.
  */
 
 #include <gtest/gtest.h>
@@ -25,8 +24,6 @@
 #include "obs/observer.hh"
 #include "obs/tracing_observer.hh"
 #include "sim/cc_sim.hh"
-#include "sim/mm_sim.hh"
-#include "sim/sampling.hh"
 #include "trace/loader.hh"
 #include "trace/multistride.hh"
 #include "trace/source.hh"
@@ -112,7 +109,7 @@ allSchemes()
 
 /**
  * Double-stream, stride-0, negative-stride and gang-boundary shapes
- * (lengths around the 32-element CC gang and 16-element MM gang).
+ * (lengths around the 32-element CC gang).
  */
 const Trace &
 gangEdgeTrace()
@@ -242,126 +239,6 @@ TEST(GangReplayCc, ObserversOnMatchesGangOff)
                         "observed/" + name);
         EXPECT_EQ(counterOf(traced, "hits"), got.hits) << name;
     }
-}
-
-/** Machine variants covering every bank mapping the MM gang issues. */
-std::vector<std::pair<std::string, MachineParams>>
-mmMachines()
-{
-    std::vector<std::pair<std::string, MachineParams>> out;
-
-    MachineParams base = paperMachineM32();
-    out.emplace_back("m32-tm16", base);
-
-    MachineParams fast = base;
-    fast.memoryTime = 4;
-    out.emplace_back("m32-tm4", fast);
-
-    MachineParams few_banks = base;
-    few_banks.bankBits = 3;
-    few_banks.memoryTime = 64;
-    out.emplace_back("m8-tm64", few_banks);
-
-    MachineParams prime_banks = base;
-    prime_banks.bankMapping = BankMapping::PrimeModulo;
-    out.emplace_back("prime-banks", prime_banks);
-
-    MachineParams skewed = base;
-    skewed.bankMapping = BankMapping::Skewed;
-    out.emplace_back("skewed-banks", skewed);
-
-    MachineParams xor_banks = base;
-    xor_banks.bankMapping = BankMapping::XorHash;
-    out.emplace_back("xor-banks", xor_banks);
-
-    return out;
-}
-
-void
-diffMm(const MachineParams &machine, TraceSource &source,
-       const std::string &label)
-{
-    MmSimulator off(machine);
-    off.setEngine(SimEngine::Scalar);
-    off.setGangReplay(false);
-    source.reset();
-    const SimResult want = off.run(source);
-
-    MmSimulator on(machine);
-    on.setEngine(SimEngine::Scalar);
-    on.setGangReplay(true);
-    source.reset();
-    expectSameResult(on.run(source), want, label);
-}
-
-TEST(GangReplayMm, AllMappingsAndTraces)
-{
-    for (const auto &[mname, machine] : mmMachines()) {
-        TraceVectorSource edges(gangEdgeTrace());
-        diffMm(machine, edges, "edges/" + mname);
-
-        MultistrideTraceSource multi(
-            MultistrideParams{1024, 12, 0.25, 8192, 0, 3}, 7);
-        diffMm(machine, multi, "multistride/" + mname);
-    }
-}
-
-/**
- * Sampling's walkOp gang warming: estimates must be bit-identical
- * with gangWarm on and off (on mappings with inert read hits the
- * all-hit skip changes no state; elsewhere the flag is a no-op).
- */
-TEST(GangReplaySampling, EstimatesUnchanged)
-{
-    const Trace trace = [] {
-        ConstantStrideSource source(0, 3, 2048, 200, true);
-        return materializeTrace(source);
-    }();
-
-    SamplingOptions on;
-    on.seed = 5;
-    on.gangWarm = true;
-    SamplingOptions off = on;
-    off.gangWarm = false;
-
-    CacheConfig xor_mapped;
-    xor_mapped.organization = Organization::XorMapped;
-    const auto cc_on =
-        sampleCc(paperMachineM32(), xor_mapped, trace, on);
-    const auto cc_off =
-        sampleCc(paperMachineM32(), xor_mapped, trace, off);
-    ASSERT_TRUE(cc_on.ok());
-    ASSERT_TRUE(cc_off.ok());
-    EXPECT_EQ(cc_on.value().cyclesPerElement,
-              cc_off.value().cyclesPerElement);
-    EXPECT_EQ(cc_on.value().unitsMeasured,
-              cc_off.value().unitsMeasured);
-    EXPECT_EQ(cc_on.value().elementsMeasured,
-              cc_off.value().elementsMeasured);
-    expectSameResult(cc_on.value().detailedTotals,
-                     cc_off.value().detailedTotals, "sampled-cc");
-
-    // Direct-mapped: the inert-hit gang path engages for CC warming.
-    CacheConfig direct;
-    const auto d_on = sampleCc(paperMachineM32(), direct, trace, on);
-    const auto d_off = sampleCc(paperMachineM32(), direct, trace, off);
-    ASSERT_TRUE(d_on.ok());
-    ASSERT_TRUE(d_off.ok());
-    EXPECT_EQ(d_on.value().cyclesPerElement,
-              d_off.value().cyclesPerElement);
-    expectSameResult(d_on.value().detailedTotals,
-                     d_off.value().detailedTotals, "sampled-cc-direct");
-
-    MachineParams skewed = paperMachineM32();
-    skewed.bankMapping = BankMapping::Skewed;
-    const auto mm_on = sampleMm(skewed, trace, on);
-    const auto mm_off = sampleMm(skewed, trace, off);
-    ASSERT_TRUE(mm_on.ok());
-    ASSERT_TRUE(mm_off.ok());
-    EXPECT_EQ(mm_on.value().cyclesPerElement,
-              mm_off.value().cyclesPerElement);
-    expectSameResult(mm_on.value().detailedTotals,
-                     mm_off.value().detailedTotals, "sampled-mm");
 }
 
 } // namespace
