@@ -218,19 +218,18 @@ BENCHMARK(BM_FirstTouchSet)->Arg(1)->Arg(8191)->Arg(8192);
 /**
  * Run batching on its target workload: a streaming constant-stride
  * kernel re-sweeping its working set.  The scalar/batched pair pins
- * the speedup of the closed-form fast-forward (the tracked baseline
- * gates both entries); elements/s is the figure of merit.
+ * the speedup of the gang probe and run memo over the element loop
+ * (the tracked baseline gates both entries); elements/s is the figure
+ * of merit.
  */
 void
-BM_BatchedCcSimulator(benchmark::State &state, SimEngine engine,
-                      bool gang)
+BM_BatchedCcSimulator(benchmark::State &state, SimEngine engine)
 {
     constexpr std::uint64_t kLength = 4096;
     constexpr std::uint64_t kRepeats = 100;
     ConstantStrideSource source(0, 3, kLength, kRepeats, true);
     CcSimulator sim(paperMachineM32(), CacheScheme::Prime);
     sim.setEngine(engine);
-    sim.setGangReplay(gang);
     for (auto _ : state) {
         sim.reset();
         source.reset();
@@ -240,15 +239,49 @@ BM_BatchedCcSimulator(benchmark::State &state, SimEngine engine,
         state.iterations() * kLength * kRepeats));
     state.SetLabel(simdBackendLabel());
 }
-BENCHMARK_CAPTURE(BM_BatchedCcSimulator, scalar, SimEngine::Scalar,
-                  true);
-// Gang replay off: the element-at-a-time loop over the same SoA tag
-// state.  The scalar/scalar_nogang ratio in one run is the SIMD gang
-// speedup on this host, independent of host-to-host rate differences.
-BENCHMARK_CAPTURE(BM_BatchedCcSimulator, scalar_nogang,
-                  SimEngine::Scalar, false);
-BENCHMARK_CAPTURE(BM_BatchedCcSimulator, batched, SimEngine::Auto,
-                  true);
+BENCHMARK_CAPTURE(BM_BatchedCcSimulator, scalar, SimEngine::Scalar);
+BENCHMARK_CAPTURE(BM_BatchedCcSimulator, batched, SimEngine::Auto);
+
+/**
+ * The gang probe alone: two constant-stride ops that together fit the
+ * cache, run alternately.  The run memo keeps only the last op, so it
+ * never sees a repeat and Auto walks every strip through the gang
+ * probe, while Scalar runs the element loop over the same tag state.
+ * The auto/scalar ratio in one run is the SIMD gang speedup on this
+ * host, independent of host-to-host rate differences; CI gates it.
+ */
+const Trace &
+alternatingOpsTrace()
+{
+    static const Trace trace = [] {
+        Trace t;
+        for (std::uint64_t n = 0; n < 200; ++n) {
+            VectorOp op;
+            op.first = VectorRef{n % 2, 3, 2048};
+            t.push_back(op);
+        }
+        return t;
+    }();
+    return trace;
+}
+
+void
+BM_GangProbeCcSimulator(benchmark::State &state, SimEngine engine)
+{
+    const Trace &trace = alternatingOpsTrace();
+    const auto n = totalElements(trace);
+    CcSimulator sim(paperMachineM32(), CacheScheme::Prime);
+    sim.setEngine(engine);
+    for (auto _ : state) {
+        sim.reset();
+        benchmark::DoNotOptimize(sim.run(trace));
+    }
+    state.SetItemsProcessed(
+        static_cast<std::int64_t>(state.iterations() * n));
+    state.SetLabel(simdBackendLabel());
+}
+BENCHMARK_CAPTURE(BM_GangProbeCcSimulator, scalar, SimEngine::Scalar);
+BENCHMARK_CAPTURE(BM_GangProbeCcSimulator, auto, SimEngine::Auto);
 
 void
 BM_BatchedMmSimulator(benchmark::State &state, SimEngine engine)

@@ -114,9 +114,10 @@ main(int argc, char **argv)
     args.addFlag("sim", "true",
                  "also run the MM/CC simulators at every point");
     args.addFlag("engine", "auto",
-                 "simulator engine: auto (run-batched fast-forward), "
-                 "scalar (element-wise reference; the CSV is "
-                 "byte-identical to auto) or sampled (SMARTS-style "
+                 "simulator engine: auto (gang probes, run-batched "
+                 "fast-forward and shared-trace gang lanes), scalar "
+                 "(the element-wise oracle, every point alone; the CSV "
+                 "is byte-identical to auto) or sampled (SMARTS-style "
                  "statistical sampling; adds *_ci half-width columns)");
     args.addFlag("target-ci", "0.03",
                  "sampled engine only: target relative 95% CI "
@@ -132,7 +133,7 @@ main(int argc, char **argv)
                  "draw every grid point's trace from --seed directly "
                  "instead of folding in the grid index, so points "
                  "differing only in t_m share a workload and batch "
-                 "into one trace pass (--batch)");
+                 "into one trace pass");
     args.parse(argc, argv);
     SweepOptions opts = sweepOptionsFromFlags(args, "sweep_grid");
     const bool sim = args.getBool("sim");

@@ -158,11 +158,13 @@ def main(argv: list[str]) -> None:
             rate_of("BM_BatchedMmSimulator/batched"),
         "mm_batched_scalar_elements_per_s":
             rate_of("BM_BatchedMmSimulator/scalar"),
-        # CC gang probe disabled on the same SoA tag state: the
-        # scalar/scalar_nogang ratio is the SIMD gang speedup on this
-        # host; CI gates it (see the perf smoke job).
-        "cc_batched_scalar_nogang_elements_per_s":
-            rate_of("BM_BatchedCcSimulator/scalar_nogang"),
+        # Two alternating ops the run memo cannot certify: the
+        # auto/scalar ratio is the SIMD gang speedup on this host; CI
+        # gates it (see the bench-baseline job).
+        "cc_gang_elements_per_s":
+            rate_of("BM_GangProbeCcSimulator/auto"),
+        "cc_gang_scalar_elements_per_s":
+            rate_of("BM_GangProbeCcSimulator/scalar"),
         # Shared-trace multi-point evaluation (one workload key, a
         # t_m column of cache configs) next to a loop of independent
         # evaluatePoint calls; CI gates the batch/pointwise ratio.

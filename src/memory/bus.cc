@@ -5,42 +5,12 @@
 namespace vcache
 {
 
-PipelinedBus::PipelinedBus(std::string name) : label(std::move(name))
-{
-}
-
 Cycles
 PipelinedBus::reserve(Cycles earliest)
 {
     const Cycles when = std::max(earliest, nextFree);
-    waited += when - earliest;
     nextFree = when + 1;
-    ++count;
     return when;
-}
-
-Cycles
-PipelinedBus::reserveMany(Cycles earliest, std::uint64_t n)
-{
-    const Cycles first = std::max(earliest, nextFree);
-    if (n == 0)
-        return first;
-    waited += n * (first - earliest) + n * (n - 1) / 2;
-    nextFree = first + n;
-    count += n;
-    return first;
-}
-
-void
-PipelinedBus::reset()
-{
-    nextFree = 0;
-    count = 0;
-    waited = 0;
-}
-
-BusSet::BusSet() : rd0("read0"), rd1("read1"), wr("write")
-{
 }
 
 Cycles
@@ -53,24 +23,11 @@ BusSet::reserveRead(Cycles earliest)
     return rd0.reserve(earliest);
 }
 
-Cycles
-BusSet::reserveWrite(Cycles earliest)
-{
-    return wr.reserve(earliest);
-}
-
-Cycles
-BusSet::reserveWrites(Cycles earliest, std::uint64_t n)
-{
-    return wr.reserveMany(earliest, n);
-}
-
 void
 BusSet::reset()
 {
     rd0.reset();
     rd1.reset();
-    wr.reset();
 }
 
 } // namespace vcache

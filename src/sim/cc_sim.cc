@@ -63,28 +63,7 @@ CcSimulator::run(TraceSource &source)
     // The NullObserver instantiations ARE the production fast paths:
     // every hook vanishes under `if constexpr`.
     NullObserver obs;
-    // The run memo only engages on the uninstrumented overloads, and
-    // only without prefetching: prefetch timing depends on absolute
-    // bank/bus state, which replayed passes skip.  Sampled is driven
-    // from sim/sampling.hh, which feeds this simulator per-unit trace
-    // slices; inside a unit it behaves like Auto.
-    if (engineKind != SimEngine::Scalar &&
-        solo.prefetchPolicy == PrefetchPolicy::None &&
-        solo.prefetchCount == 0) {
-        return withConcreteCache(*vectorCache, [&](auto &cache) {
-            return walk<std::remove_reference_t<decltype(cache)>, false>(
-                cache, source, obs, true);
-        });
-    }
     return run(source, obs);
-}
-
-SimResult
-CcSimulator::runVirtual(const Trace &trace)
-{
-    TraceVectorSource source(trace);
-    NullObserver obs;
-    return dispatchRun(*vectorCache, source, obs);
 }
 
 } // namespace vcache

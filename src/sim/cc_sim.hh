@@ -12,13 +12,13 @@
  *
  *   - run() dispatches once on the paper's two mapping schemes
  *     (direct and prime), whose accesses then compile to direct,
- *     inlinable calls, with the virtual interface as the fallback for
- *     every other organization; runVirtual() forces that fallback so
- *     tests can pin the fast paths against it;
+ *     inlinable calls, with the virtual interface for every other
+ *     organization;
  *   - uninstrumented, prefetch-free runs under SimEngine::Auto (the
- *     default) fast-forward repeated ops through the run memo;
+ *     default) take the walker's gang probe and run memo;
  *     SimEngine::Scalar, prefetching runs and instrumented runs walk
- *     every op element-wise;
+ *     every element, and Scalar is the oracle the differential tests
+ *     pin every other path against;
  *   - run(source, obs) with a TracingObserver sees every hit, miss,
  *     bank conflict, bus wait and prefetch with cycle stamps and set
  *     indices; with the NullObserver every hook vanishes under
@@ -32,6 +32,7 @@
 #define VCACHE_SIM_CC_SIM_HH
 
 #include <memory>
+#include <type_traits>
 
 #include "analytic/machine.hh"
 #include "cache/cache.hh"
@@ -41,7 +42,6 @@
 #include "sim/cc_walker.hh"
 #include "sim/engine.hh"
 #include "sim/result.hh"
-#include "simd/kernels.hh"
 #include "trace/access.hh"
 #include "trace/source.hh"
 #include "util/flat_hash.hh"
@@ -95,10 +95,10 @@ class CcSimulator
 
     /**
      * Select the execution engine for uninstrumented runs: Auto (the
-     * default) fast-forwards provably-steady repeated vector ops in
-     * closed form; Scalar forces element-wise replay.  Both produce
+     * default) gang-probes strips and fast-forwards provably-steady
+     * repeated vector ops; Scalar walks every element.  Both produce
      * bit-identical SimResults and cache statistics.  Instrumented
-     * runs always replay element-wise regardless.
+     * runs always walk element-wise regardless.
      */
     void setEngine(SimEngine engine) { engineKind = engine; }
     SimEngine engine() const { return engineKind; }
@@ -119,14 +119,6 @@ class CcSimulator
     /** Instrumented streamed run. */
     template <typename Observer>
     SimResult run(TraceSource &source, Observer &obs);
-
-    /**
-     * Run through the generic virtual-dispatch path regardless of the
-     * cache's concrete type.  Exists so equivalence tests can pin the
-     * devirtualized fast paths against the reference behaviour; it is
-     * not meant for production use.
-     */
-    SimResult runVirtual(const Trace &trace);
 
     /** Prefetches issued by the timed prefetcher. */
     std::uint64_t prefetchesIssued() const { return solo.prefetchCount; }
@@ -175,31 +167,14 @@ class CcSimulator
     const MachineParams &params() const { return machine; }
 
   private:
-    /** Pick the Prefetching instantiation and walk element-wise. */
-    template <typename CacheT, typename Observer>
-    SimResult dispatchRun(CacheT &cache, TraceSource &source,
-                          Observer &obs);
-
     /**
      * The whole-run loop over one walker instantiation: `Prefetching`
      * is fixed per run (a run that starts with no prefetch state and a
-     * None policy can never grow any), `batch` engages the run memo.
+     * None policy can never grow any).
      */
     template <typename CacheT, bool Prefetching, typename Observer>
-    SimResult walk(CacheT &cache, TraceSource &source, Observer &obs,
-                   bool batch);
+    SimResult walk(CacheT &cache, TraceSource &source, Observer &obs);
 
-  public:
-    /**
-     * Gang-probe replay (default on; VCACHE_GANG=off reverts): the
-     * walker's SIMD gang probe for uninstrumented, prefetch-free runs
-     * (see sim/cc_walker.hh).  Results are bit-identical either way;
-     * tests/sim pins it.
-     */
-    void setGangReplay(bool on) { gangReplay = on; }
-    bool gangReplayEnabled() const { return gangReplay; }
-
-  private:
     MachineParams machine;
     std::unique_ptr<Cache> vectorCache;
     /** Every line ever brought in (first touch => compulsory). */
@@ -209,7 +184,6 @@ class CcSimulator
     /** Read buses and timed-prefetch state. */
     CcSoloState solo;
     bool nonBlocking = false;
-    bool gangReplay = simd::gangReplayDefault();
     SimEngine engineKind = SimEngine::Auto;
 };
 
@@ -217,29 +191,18 @@ class CcSimulator
 CacheConfig ccCacheConfig(const MachineParams &params,
                           CacheScheme scheme);
 
-template <typename CacheT, typename Observer>
-SimResult
-CcSimulator::dispatchRun(CacheT &cache, TraceSource &source,
-                         Observer &obs)
-{
-    // A run beginning with a None policy and no live prefetch state
-    // (no lines in flight, no tag flags -- both imply prefetchCount
-    // == 0) can never acquire any, so the specialized walk omits the
-    // prefetch bookkeeping from the per-element path altogether.
-    if (solo.prefetchPolicy == PrefetchPolicy::None &&
-        solo.prefetchCount == 0)
-        return walk<CacheT, false>(cache, source, obs, false);
-    return walk<CacheT, true>(cache, source, obs, false);
-}
-
 template <typename CacheT, bool Prefetching, typename Observer>
 SimResult
-CcSimulator::walk(CacheT &cache, TraceSource &source, Observer &obs,
-                  bool batch)
+CcSimulator::walk(CacheT &cache, TraceSource &source, Observer &obs)
 {
     touchedLines.reserve(touchedLines.size() + source.readFootprint());
-    const CcWalkOptions opts{machine.mvl, gangReplay, batch,
-                             nonBlocking};
+    // Sampled is driven from sim/sampling.hh, which feeds this
+    // simulator per-unit trace slices; inside a unit it is Auto.
+    const CcWalkOptions opts{
+        .mvl = machine.mvl,
+        .fastPaths = engineKind != SimEngine::Scalar,
+        .nonBlocking = nonBlocking,
+    };
     CcWalker<CacheT, LaneCount::One, Observer, Prefetching> walker(
         cache, touchedLines, std::span(&lane, 1), opts, obs, &solo);
 
@@ -265,8 +228,17 @@ template <typename Observer>
 SimResult
 CcSimulator::run(TraceSource &source, Observer &obs)
 {
+    // A run beginning with a None policy and no live prefetch state
+    // (no lines in flight, no tag flags -- both imply prefetchCount
+    // == 0) can never acquire any, so the specialized walk omits the
+    // prefetch bookkeeping from the per-element path altogether.
+    const bool prefetching =
+        solo.prefetchPolicy != PrefetchPolicy::None ||
+        solo.prefetchCount != 0;
     return withConcreteCache(*vectorCache, [&](auto &cache) {
-        return dispatchRun(cache, source, obs);
+        using CacheT = std::remove_reference_t<decltype(cache)>;
+        return prefetching ? walk<CacheT, true>(cache, source, obs)
+                           : walk<CacheT, false>(cache, source, obs);
     });
 }
 

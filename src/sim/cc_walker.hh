@@ -43,7 +43,11 @@
  * The functional state -- the cache, with its replacement state, and
  * the first-touch set that classifies compulsory misses -- never reads
  * a clock, so one walk serves every lane.  On top of the element loop
- * the walker has two fast paths, both exact:
+ * the walker has two fast paths, both exact, which run together or
+ * not at all (CcWalkOptions::fastPaths): SimEngine::Auto, gang lanes
+ * and the sampling warmer take both; SimEngine::Scalar takes neither,
+ * so its element loop is the one reference every fast path is pinned
+ * against (tests/sim/cc_fuzz_test.cc):
  *
  *   - Gang probe: on a cache whose read hits are inert, a strip is
  *     probed a gang of lines at a time through the dispatched SIMD
@@ -65,7 +69,8 @@
  *       - tier 2 (any organization): appendRunState() snapshots
  *         everything the op can consult or mutate around an
  *         element-wise pass; equal snapshots and no clock-coupled
- *         event prove the pass a fixed point, so its counts replay.
+ *         event prove the pass a fixed point, so its counts replay
+ *         (a solo walk tries it from the op's third walk on).
  *     Three failed attempts refuse the op until a different op
  *     intervenes.
  *
@@ -225,10 +230,12 @@ struct CcWalkOptions
 {
     /** Elements per strip (the machine's MVL). */
     std::uint64_t mvl = 64;
-    /** Gang-probe strips on caches whose read hits are inert. */
-    bool gangProbe = true;
-    /** Fast-forward repeated ops through the run memo. */
-    bool batch = true;
+    /**
+     * Gang-probe strips (on caches whose read hits are inert) and
+     * fast-forward repeated ops through the run memo.  Off is
+     * SimEngine::Scalar: the element loop alone, the oracle.
+     */
+    bool fastPaths = true;
     /** Non-compulsory misses are clock-coupled, not blocking. */
     bool nonBlocking = false;
 };
@@ -308,7 +315,7 @@ class CcWalker
             if constexpr (Observer::kEnabled)
                 obs.onVectorOpEnd(lanes[0].clock);
         } else {
-            if (!opts.batch) {
+            if (!opts.fastPaths) {
                 stripLoop(op);
                 return;
             }
@@ -318,6 +325,7 @@ class CcWalker
                 memo.op = op;
                 memo.phase = Phase::Armed;
                 memo.attempts = 0;
+                memo.repeated = false;
                 stripLoop(op);
             } else if (memo.phase == Phase::Verified) {
                 replay();
@@ -389,6 +397,8 @@ class CcWalker
         VectorOp op;
         Phase phase = Phase::None;
         unsigned attempts = 0;
+        /** A repeat of the op has been walked since it was armed. */
+        bool repeated = false;
         CcEvents events;
         /** results, hits and misses per pass. */
         SimResult counts;
@@ -423,7 +433,11 @@ class CcWalker
     /**
      * Certify an Armed repeat, tier 1 then tier 2.  Tier 1 does not
      * walk the op (the caller replays it); tier 2's measurement pass
-     * walks it.
+     * walks it.  A solo walk holds tier 2 back until the op's third
+     * walk: its two snapshots cost about a pass, which an op seen
+     * only twice in a row never repays, and a solo run may be one of
+     * sampling's measurement windows, often just two ops.  (The
+     * warmer and gang lanes walk whole traces.)
      *
      * @return true when the op still needs replay()
      */
@@ -433,6 +447,11 @@ class CcWalker
         if constexpr (kSteadyMapped) {
             if (!op.second && steadyCertificate(op))
                 return true;
+        }
+        if (Lanes == LaneCount::One && !memo.repeated) {
+            memo.repeated = true;
+            stripLoop(op);
+            return false;
         }
 
         memo.before.clear();
@@ -538,7 +557,7 @@ class CcWalker
         const std::int64_t s2 = op.second ? op.second->stride : 0;
         bool gang_probe = false;
         if constexpr (!kElementWise)
-            gang_probe = opts.gangProbe && cache.readHitsAreInert();
+            gang_probe = opts.fastPaths && cache.readHitsAreInert();
 
         for (std::uint64_t done = 0; done < op.first.length;
              done += opts.mvl) {

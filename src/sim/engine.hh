@@ -2,14 +2,17 @@
  * @file
  * Execution-engine selector for the trace-driven simulators.
  *
- * Auto lets a simulator fast-forward repeated constant-stride vector
- * operations in closed form (run batching) whenever it can prove the
- * result is bit-identical to element-wise replay; Scalar forces the
- * element-wise reference loop unconditionally.  Instrumented runs
- * (any observer with kEnabled == true) always replay element-wise
- * regardless of this knob: a batched pass resolves thousands of
- * accesses without visiting them, so there would be no per-element
- * events to report.
+ * Auto lets a simulator take every exact fast path it has: the MM
+ * machine fast-forwards constant-stride tails in closed form; the CC
+ * walker gang-probes strips through the SIMD kernels and replays
+ * repeated ops from its run memo; a sweep batches shared-workload
+ * points into gang lanes.  Scalar takes none of them: it walks every
+ * element of every point alone, and is the one element-wise oracle
+ * the differential tests and CI diff every fast path against.
+ * Instrumented runs (any observer with kEnabled == true) always
+ * replay element-wise regardless of this knob: a batched pass
+ * resolves thousands of accesses without visiting them, so there
+ * would be no per-element events to report.
  */
 
 #ifndef VCACHE_SIM_ENGINE_HH
@@ -24,9 +27,9 @@ namespace vcache
 /** How a simulator executes vector operations. */
 enum class SimEngine
 {
-    /** Batch provably-steady runs; replay the rest element-wise. */
+    /** Take every exact fast path; walk the rest element-wise. */
     Auto,
-    /** Element-wise replay only (the reference behaviour). */
+    /** Element-wise replay only: the reference oracle. */
     Scalar,
     /**
      * SMARTS-style systematic sampling: simulate detailed timing only

@@ -5,7 +5,6 @@
 #include "obs/observer.hh"
 #include "sim/cc_sim.hh"
 #include "sim/cc_walker.hh"
-#include "simd/kernels.hh"
 
 namespace vcache
 {
@@ -34,8 +33,7 @@ runGang(const MachineParams &base, CacheT &cache, TraceSource &source,
     FlatSet<Addr> touched;
     touched.reserve(source.readFootprint());
     NullObserver obs;
-    const CcWalkOptions opts{base.mvl, simd::gangReplayDefault(), true,
-                             false};
+    const CcWalkOptions opts{.mvl = base.mvl, .fastPaths = true};
     CcWalker<CacheT, LaneCount::Many, NullObserver> walker(
         cache, touched, lanes, opts, obs);
 

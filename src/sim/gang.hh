@@ -19,8 +19,9 @@
  * Each lane's SimResult is therefore bit-identical to a solo
  * CcSimulator run of that t_m (tests/sim/gang_test.cc and
  * tests/sim/cc_fuzz_test.cc hold the line), at roughly the cost of
- * one run instead of N.  The gang probe follows VCACHE_GANG
- * (simd::gangReplayDefault()).
+ * one run instead of N.  Lanes always take both fast paths; the
+ * element-wise reference they are pinned against is a solo
+ * SimEngine::Scalar run.
  *
  * Restrictions (callers fall back to per-lane simulation otherwise):
  * no prefetching, no observer, blocking misses only -- exactly the

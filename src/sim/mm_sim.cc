@@ -97,26 +97,6 @@ MmSimulator::fastForwardRun(const VectorRef &ref, SimResult &result)
     }
     result.results += ref.length;
 
-    // Bus end state needs the grant cycles of the last two requests
-    // (see BusSet::absorbReadRun).  Within a strip starting at S,
-    // request 0 is granted at S and request i at the previous issue
-    // time plus one.
-    const auto grantInStrip = [&](Cycles start, std::uint64_t i) {
-        return i == 0 ? start : start + issueOffset(i - 1) + 1;
-    };
-    const Cycles last_grant =
-        grantInStrip(last_start, last_count - 1);
-    Cycles prev_grant = last_grant; // unused when length == 1
-    if (ref.length >= 2) {
-        if (last_count >= 2) {
-            prev_grant = grantInStrip(last_start, last_count - 2);
-        } else {
-            const Cycles prev_start = last_start - full_span;
-            prev_grant = grantInStrip(prev_start, mvl - 1);
-        }
-    }
-    buses.absorbReadRun(ref.length, last_grant, prev_grant);
-
     // Bank end state: the run touches min(q, length) distinct banks,
     // one per residue class of the element index; each bank's busy
     // horizon comes from its class's highest-index element.

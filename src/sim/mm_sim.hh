@@ -29,21 +29,29 @@
  * come Q >= t_m cycles apart, so no request ever waits) -- giving
  * per-strip stall floor((count-1)/Q) * (t_m - Q) in closed form.
  * The batched path computes the whole op in O(1) plus O(Q) exact
- * end-state absorption (bus counters/frontiers via
- * BusSet::absorbReadRun, per-bank busy horizons via
+ * end-state absorption (per-bank busy horizons via
  * InterleavedMemory::noteRunIssue), valid whenever banks are
  * provably free at every strip start (strip start-up >= t_m - 1) and
  * the mapping is residue-periodic (LowOrder always; PrimeModulo for
  * non-wrapping runs).  A double-stream op replays the strips that
- * hold second-stream elements element-wise (the two streams' bus
- * tie-breaking is cheap to replay but fiddly to prove) and
+ * hold second-stream elements element-wise (the two streams' bank
+ * interleaving is cheap to replay but fiddly to prove) and
  * fast-forwards the single-stream tail after them, which starts on a
- * strip boundary with every bank and both read buses free.  Skewed
- * or XOR-hashed mappings, a PrimeModulo tail that wraps, armed
- * fault-injection plans (the batched path would skip the per-element
+ * strip boundary with every bank free.  Skewed or XOR-hashed
+ * mappings, a PrimeModulo tail that wraps, armed fault-injection
+ * plans (the batched path would skip the per-element
  * memory.bank.issue sites), instrumented runs and SimEngine::Scalar
  * replay the whole op element-wise.  Equivalence is pinned by
  * tests/sim/batched_test.cc and tests/sim/mm_fuzz_test.cc.
+ *
+ * Bus inertness: no MM read ever waits for a bus.  Each issue cycle
+ * makes at most two reads, one per stream, over the two read buses,
+ * and the next issue cycle comes after every grant of this one, so
+ * both buses are free again by then.  Only observed runs reserve the
+ * read buses (so onBusWait still fires, with zero waits; tests/obs
+ * pins that), exactly as observed CC runs do.  Stores drain through
+ * the write buffer without stalling and nothing reads the write bus,
+ * so it is not modelled.
  */
 
 #ifndef VCACHE_SIM_MM_SIM_HH
@@ -123,14 +131,15 @@ class MmSimulator
 
     /**
      * Issue a non-empty single-stream run in closed form, starting on
-     * a strip boundary with every bank and both read buses free;
-     * updates result, clock, bus and bank state exactly as
-     * element-wise issue would.  Requires canFastForward(ref).
+     * a strip boundary with every bank free; updates result, clock
+     * and bank state exactly as element-wise issue would.  Requires
+     * canFastForward(ref).
      */
     void fastForwardRun(const VectorRef &ref, SimResult &result);
 
     MachineParams machine;
     InterleavedMemory memory;
+    /** The read buses; reserved by observed runs only. */
     BusSet buses;
     Cycles clock = 0;
     SimEngine engineKind = SimEngine::Auto;
@@ -149,7 +158,9 @@ MmSimulator::issueStrip(const VectorRef &first, const VectorRef *second,
         // Stream 1 element.
         {
             const Addr a = first.element(offset + i);
-            const Cycles bus = buses.reserveReadObserved(ready, obs);
+            Cycles bus = ready;
+            if constexpr (Observer::kEnabled)
+                bus = buses.reserveReadObserved(ready, obs);
             const Cycles when = memory.issueObserved(a, bus, obs);
             ready = std::max(ready, when);
         }
@@ -157,7 +168,9 @@ MmSimulator::issueStrip(const VectorRef &first, const VectorRef *second,
         // op and the second (shorter) vector still has elements.
         if (second && offset + i < second->length) {
             const Addr a = second->element(offset + i);
-            const Cycles bus = buses.reserveReadObserved(clock, obs);
+            Cycles bus = clock;
+            if constexpr (Observer::kEnabled)
+                bus = buses.reserveReadObserved(clock, obs);
             const Cycles when = memory.issueObserved(a, bus, obs);
             ready = std::max(ready, when);
         }
@@ -189,8 +202,8 @@ MmSimulator::run(TraceSource &source, Observer &obs)
 
         // Strips holding second-stream elements issue element-wise;
         // the single-stream tail after them starts on a strip
-        // boundary with every bank and both read buses free -- the
-        // closed form's base case.  Fast-forward is settled before
+        // boundary with every bank free -- the closed form's base
+        // case.  Fast-forward is settled before
         // the first strip issues, so an op never falls back
         // part-way; observed runs and the Scalar engine issue every
         // element.
@@ -219,12 +232,8 @@ MmSimulator::run(TraceSource &source, Observer &obs)
         if (head < op.first.length)
             fastForwardRun(tail, result);
 
-        // Stores drain through the write bus without stalling the
-        // pipeline (the paper's write-buffer assumption); the write
-        // bus is reserved live even on fast-forwarded ops (its wait
-        // accounting depends on absolute time).
-        if (op.store)
-            buses.reserveWrites(clock, op.store->length);
+        // Stores drain through the write buffer without stalling the
+        // pipeline (the paper's assumption), so they are never issued.
         if constexpr (Observer::kEnabled)
             obs.onVectorOpEnd(clock);
     }

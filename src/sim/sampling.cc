@@ -11,7 +11,6 @@
 #include "sim/cc_walker.hh"
 #include "sim/checkpoint.hh"
 #include "sim/mm_sim.hh"
-#include "simd/kernels.hh"
 #include "trace/source.hh"
 #include "util/flat_hash.hh"
 #include "util/logging.hh"
@@ -489,17 +488,15 @@ sampleCc(const MachineParams &machine, const CacheConfig &cache_config,
     FlatSet<Addr> touched;
     touched.reserve(readFootprintBound(trace));
     std::vector<Addr> touch_order;
-    const CcWalkOptions walk_opts{machine.mvl,
-                                  simd::gangReplayDefault(), true,
-                                  false};
+    const CcWalkOptions walk_opts{.mvl = machine.mvl, .fastPaths = true};
 
     std::vector<std::unique_ptr<CcSimulator>> sims;
     for (unsigned w = 0; w < std::max(opts.jobs, 1u); ++w) {
         auto sim = std::make_unique<CcSimulator>(machine, cache_config);
-        // Scalar replay: measurement windows are a few ops, too
-        // short for the run-batched engine's per-op certification to
-        // amortize (the results are bit-identical either way).
-        sim->setEngine(SimEngine::Scalar);
+        // The windows run Auto: the gang probe pays off even in a
+        // two-op window, and a solo walk does not try the memo's
+        // tier-2 certification before an op's third walk (see
+        // CcWalker::certify).
         sim->setNonBlockingMisses(opts.nonBlocking);
         sim->setCancelToken(opts.cancel);
         sims.push_back(std::move(sim));
@@ -648,7 +645,10 @@ sampleMm(const MachineParams &machine, const Trace &trace,
     std::vector<std::unique_ptr<MmSimulator>> sims;
     for (unsigned w = 0; w < std::max(opts.jobs, 1u); ++w) {
         auto sim = std::make_unique<MmSimulator>(machine);
-        sim->setEngine(SimEngine::Scalar); // see measureCcPoint
+        // Scalar replay: a measurement window is a few ops, too short
+        // for the run-batched fast-forward's per-op certification to
+        // amortize (the results are bit-identical either way).
+        sim->setEngine(SimEngine::Scalar);
         sim->setCancelToken(opts.cancel);
         sims.push_back(std::move(sim));
     }

@@ -44,9 +44,14 @@
  * The MM-model machine carries no functional state at all, so its
  * sampler simply skips unsampled units; its speedup is the sampling
  * factor itself.  The CC sampler's functional walk is the CC walker
- * with zero timing lanes (sim/cc_walker.hh): it shares the solo
- * engine's gang probe (on unless VCACHE_GANG=off) and run memo, so
- * repeats of an op are skipped once a memo tier certifies them.
+ * with zero timing lanes (sim/cc_walker.hh): it always takes the
+ * walker's gang probe and run memo, so repeats of an op are skipped
+ * once a memo tier certifies them.  The element-wise reference it is
+ * pinned against is a solo SimEngine::Scalar run
+ * (CcWalkerFuzz.SampledWindowsSumToTheExactRun).  The measurement
+ * windows run Auto: a solo walk holds the memo's tier-2 certification
+ * back until an op's third walk, so a window of two ops pays for the
+ * gang probe only.
  */
 
 #ifndef VCACHE_SIM_SAMPLING_HH

@@ -209,7 +209,7 @@ runSweepImpl(std::size_t points, const SweepGroups *groups,
 {
     vc_assert(eval, "sweep needs a point evaluator");
     vc_assert(opts.maxAttempts > 0, "sweep needs at least one attempt");
-    if (groups && (!opts.batch || !batchEval))
+    if (!batchEval)
         groups = nullptr;
 
     unsigned jobs = opts.jobs ? opts.jobs : ThreadPool::defaultWorkers();
@@ -873,10 +873,6 @@ addSweepFlags(ArgParser &args)
                  "for --resume");
     args.addFlag("resume", "false",
                  "replay --checkpoint and skip completed points");
-    args.addFlag("batch", "true",
-                 "evaluate shared-workload point groups as one "
-                 "batched pass (false = per point; the CSV is "
-                 "byte-identical either way)");
     args.addFlag("faults", "",
                  "fault-injection plan 'site=action@trigger[;...]' "
                  "(see docs/ROBUSTNESS.md); needs a "
@@ -927,7 +923,6 @@ sweepOptionsFromFlags(const ArgParser &args, const std::string &label)
 
     opts.checkpointPath = args.getString("checkpoint");
     opts.resume = args.getBool("resume");
-    opts.batch = args.getBool("batch");
     if (opts.resume && opts.checkpointPath.empty())
         vc_fatal("--resume requires --checkpoint");
 

@@ -152,13 +152,6 @@ struct SweepOptions
     std::string checkpointPath;
     /** Replay checkpointPath and skip completed points. */
     bool resume = false;
-    /**
-     * Attempt shared-workload groups as one batched evaluation before
-     * falling back per point (runSweepBatched callers only; the
-     * per-point engine ignores it).  Off forces the solo path, which
-     * CI diffs against the batched one byte for byte.
-     */
-    bool batch = true;
 };
 
 /** One permanently failed grid point, after all retries. */
@@ -258,8 +251,8 @@ using SweepGroups = std::vector<std::vector<std::size_t>>;
  * fall back to the per-point evaluator with the full retry/backoff/
  * timeout budget, so batching can only add one cheap shared attempt,
  * never weaken per-point isolation.  Failed batches are not retried
- * as batches.  With opts.batch false (or a null batchEval) every
- * group member takes the solo path, in group order.
+ * as batches.  Groups of one, and every group when batchEval is
+ * null, take the solo path, in group order.
  *
  * The batch attempt runs under the worker's epoch-tagged token like
  * any point; the watchdog scales the per-point deadline by the group
@@ -339,7 +332,7 @@ Expected<CsvSweepResult> runCsvSweep(
  * to the per-point evaluator.  Batched rows journal to the checkpoint
  * exactly like solo rows, and because both evaluators must render
  * identical rows for identical results, the CSV is byte-identical to
- * an unbatched run (opts.batch = false) -- CI diffs the two.
+ * a per-point runCsvSweep.
  */
 Expected<CsvSweepResult> runCsvSweepBatched(
     std::size_t points,

@@ -155,17 +155,6 @@ setActiveBackend(Backend b)
 }
 
 bool
-gangReplayDefault()
-{
-    static const bool enabled = [] {
-        const char *env = std::getenv("VCACHE_GANG");
-        return env == nullptr || (std::strcmp(env, "off") != 0 &&
-                                  std::strcmp(env, "0") != 0);
-    }();
-    return enabled;
-}
-
-bool
 parseBackend(const char *name, Backend &out)
 {
     if (name == nullptr)

@@ -12,8 +12,15 @@
  *
  * Kernel contracts are purely elementwise and bit-exact against the
  * scalar reference (numtheory::modMersenne, Cache::frameIndex);
- * tests/simd pins every backend to the scalar forms.  `n` is capped at kMaxGang so callers can use fixed
- * stack buffers and mask arithmetic stays inside 32 bits.
+ * tests/simd pins every backend to the scalar forms.  `n` is capped
+ * at kMaxGang so callers can use fixed stack buffers and mask
+ * arithmetic stays inside 32 bits.
+ *
+ * In the simulators the CC walker's gang probe (sim/cc_walker.hh) is
+ * the caller.  It runs under SimEngine::Auto, in gang lanes and in
+ * the sampling warmer; SimEngine::Scalar never probes, so
+ * `--engine scalar` is the element-at-a-time oracle every backend's
+ * gang is pinned against.  The MM machine has no gang path.
  */
 
 #ifndef VCACHE_SIMD_KERNELS_HH
@@ -137,15 +144,6 @@ bool setActiveBackend(Backend b);
 
 /** Parse a backend name; returns false on unknown names. */
 bool parseBackend(const char *name, Backend &out);
-
-/**
- * Default for the CC walker's gang probe (solo runs, gang lanes and
- * the sampling warmer): true unless VCACHE_GANG=off|0 is set.
- * Turning it off recovers the element-at-a-time strip walk exactly --
- * the differential tests' oracle and the benchmark's before/after
- * ratio denominator.  The MM machine has no gang path.
- */
-bool gangReplayDefault();
 
 // Per-backend tables (internal; exposed for the dispatcher and the
 // differential tests).  avx2Kernels() returns nullptr when the build

@@ -11,6 +11,9 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <vector>
+
+#include "../sim/fuzz_trace.hh"
 
 #include "core/defaults.hh"
 #include "obs/observer.hh"
@@ -296,6 +299,42 @@ TEST(BusInertness, NoReadWaitsWithoutPrefetch)
                 EXPECT_EQ(rec.waitedCycles, 0u)
                     << "organization " << static_cast<int>(org)
                     << " non-blocking " << non_blocking;
+            }
+        }
+    }
+}
+
+/**
+ * The same invariant for the MM machine (see sim/mm_sim.hh): at most
+ * two reads per issue cycle over two read buses, so no read ever
+ * waits, on any bank mapping or memory time, double streams
+ * included.  Only the observed run reserves buses; the plain run
+ * (Auto, fast-forwarding where it can) must agree with it.
+ */
+TEST(BusInertness, MmReadsNeverWait)
+{
+    std::vector<Trace> traces{vcmTrace(), fftTrace(),
+                              multistrideTrace()};
+    for (const std::uint64_t seed : kFuzzSeeds)
+        traces.push_back(fuzzTrace(seed));
+    for (const BankMapping mapping :
+         {BankMapping::LowOrder, BankMapping::Skewed,
+          BankMapping::XorHash, BankMapping::PrimeModulo}) {
+        for (const std::uint64_t tm : {1u, 16u, 64u}) {
+            MachineParams m = paperMachineM32();
+            m.memoryTime = tm;
+            m.bankMapping = mapping;
+            for (std::size_t t = 0; t < traces.size(); ++t) {
+                MmSimulator plain(m);
+                const SimResult want = plain.run(traces[t]);
+
+                BusWaitRecorder rec;
+                MmSimulator observed(m);
+                expectSameResult(observed.run(traces[t], rec), want);
+                EXPECT_GE(rec.reads, want.results);
+                EXPECT_EQ(rec.waitedCycles, 0u)
+                    << "mapping " << static_cast<int>(mapping)
+                    << " t_m " << tm << " trace " << t;
             }
         }
     }

@@ -160,6 +160,17 @@ class BenchToJsonTest(unittest.TestCase):
         self.assertEqual(
             summary["first_touch_set_s8192_inserts_per_s"], 2e8)
 
+    def test_gang_probe_keys(self):
+        raw = {"benchmarks": [
+            bench("BM_GangProbeCcSimulator/auto", 3e8, 1.0),
+            bench("BM_GangProbeCcSimulator/scalar", 1e8, 1.0)]}
+        with tempfile.TemporaryDirectory() as d:
+            proc, out = run_script(raw, d)
+        self.assertEqual(proc.returncode, 0, proc.stderr)
+        summary = out["summary"]
+        self.assertEqual(summary["cc_gang_elements_per_s"], 3e8)
+        self.assertEqual(summary["cc_gang_scalar_elements_per_s"], 1e8)
+
 
 if __name__ == "__main__":
     unittest.main()

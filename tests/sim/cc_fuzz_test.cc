@@ -5,12 +5,10 @@
  * one to four times, so both memo tiers certify and refuse -- run
  * over the seven differential cache configurations.
  * Every engine is pinned to the reference, the element-wise solo walk
- * (SimEngine::Scalar) with the gang probe off, at the same t_m:
+ * (SimEngine::Scalar: no gang probe, no run memo), at the same t_m:
  *
  *   - solo Auto and shared-trace gang lanes at t_m = 1, 16 and 64;
- *   - at t_m = 16, solo Auto and Scalar with the gang probe on and
- *     off, runVirtual (the generic virtual-dispatch walk) and
- *     non-blocking misses;
+ *   - at t_m = 16, solo Auto with non-blocking misses;
  *   - sampleCc at sampling stride 1: the measured windows' hit,
  *     miss and compulsory-miss counts summing to the exact run's.
  *
@@ -61,12 +59,10 @@ struct Outcome
 
 Outcome
 runSolo(const MachineParams &m, const CacheConfig &config,
-        const Trace &trace, SimEngine engine, bool gang,
-        bool non_blocking = false)
+        const Trace &trace, SimEngine engine, bool non_blocking = false)
 {
     CcSimulator sim(m, config);
     sim.setEngine(engine);
-    sim.setGangReplay(gang);
     sim.setNonBlockingMisses(non_blocking);
     const SimResult r = sim.run(trace);
     return {r, sim.cache().stats()};
@@ -111,36 +107,25 @@ TEST(CcWalkerFuzz, EnginesMatchTheElementWiseWalk)
                                           name + " tm " +
                                           std::to_string(tm);
                 const Outcome want =
-                    runSolo(m, config, trace, SimEngine::Scalar, false);
+                    runSolo(m, config, trace, SimEngine::Scalar);
 
-                expectSame(runSolo(m, config, trace, SimEngine::Auto,
-                                   true),
+                expectSame(runSolo(m, config, trace, SimEngine::Auto),
                            want, label + " auto");
                 ASSERT_TRUE(gang[n].ok()) << label;
                 // Gang lanes share one cache, so only the results
                 // compare; the stats belong to the shared pass.
                 expectSame({gang[n].value(), want.stats}, want,
                            label + " gang lane");
-                // The remaining switches change which code walks an
-                // element, never the clock arithmetic, so one t_m
+                // Non-blocking misses change which events are
+                // clock-coupled, not the clock arithmetic, so one t_m
                 // covers them.
                 if (tm != 16)
                     continue;
 
+                const Outcome nb_want =
+                    runSolo(m, config, trace, SimEngine::Scalar, true);
                 expectSame(runSolo(m, config, trace, SimEngine::Auto,
-                                   false),
-                           want, label + " auto gang-off");
-                expectSame(runSolo(m, config, trace, SimEngine::Scalar,
                                    true),
-                           want, label + " scalar gang-on");
-                CcSimulator generic(m, config);
-                const SimResult virt = generic.runVirtual(trace);
-                expectSame({virt, generic.cache().stats()}, want,
-                           label + " virtual");
-                const Outcome nb_want = runSolo(
-                    m, config, trace, SimEngine::Scalar, false, true);
-                expectSame(runSolo(m, config, trace, SimEngine::Auto,
-                                   true, true),
                            nb_want, label + " non-blocking auto");
             }
         }
@@ -167,8 +152,7 @@ TEST(CcWalkerFuzz, SampledWindowsSumToTheExactRun)
             ASSERT_TRUE(sampled.ok()) << label;
 
             const SimResult exact =
-                runSolo(machineAt(16), config, trace, SimEngine::Scalar,
-                        false)
+                runSolo(machineAt(16), config, trace, SimEngine::Scalar)
                     .result;
             const SimResult &got = sampled.value().detailedTotals;
             EXPECT_EQ(sampled.value().unitsMeasured,

@@ -4,9 +4,10 @@
  * The CC simulator's per-element loop is monomorphized over the
  * concrete cache type and runs streamed workloads without
  * materializing traces.  These tests pin all of that against fixed
- * golden SimResults captured from the pre-optimization simulator, and
- * against the generic virtual-dispatch path (runVirtual), on the three
- * workload families the repo uses: VCM, multistride and FFT.
+ * golden SimResults captured from the pre-optimization simulator, on
+ * the three workload families the repo uses: VCM, multistride and
+ * FFT.  The generic virtual-dispatch walk (every organization other
+ * than direct and prime) is pinned by tests/sim/cc_fuzz_test.cc.
  */
 
 #include <gtest/gtest.h>
@@ -94,23 +95,14 @@ expectSameResult(const SimResult &got, const SimResult &want)
     EXPECT_EQ(got.compulsoryMisses, want.compulsoryMisses);
 }
 
-/**
- * Run `trace` through the devirtualized path and through the generic
- * virtual path, and check both against the pinned golden counters.
- */
+/** Run `trace` and check it against the pinned golden counters. */
 void
 checkGolden(CacheScheme scheme, Mode mode, const Trace &trace,
             const SimResult &want, std::uint64_t want_prefetches)
 {
-    CcSimulator fast = makeSim(scheme, mode);
-    const SimResult got = fast.run(trace);
-    expectSameResult(got, want);
-    EXPECT_EQ(fast.prefetchesIssued(), want_prefetches);
-
-    CcSimulator generic = makeSim(scheme, mode);
-    const SimResult virt = generic.runVirtual(trace);
-    expectSameResult(virt, want);
-    EXPECT_EQ(generic.prefetchesIssued(), want_prefetches);
+    CcSimulator sim = makeSim(scheme, mode);
+    expectSameResult(sim.run(trace), want);
+    EXPECT_EQ(sim.prefetchesIssued(), want_prefetches);
 }
 
 // Golden counters captured from the simulator before the fast paths

@@ -12,8 +12,8 @@
  *     issue and must see one bank issue per loaded element.
  *
  * Each simulator runs its trace twice without reset(), so a
- * fast-forward that leaves a bank horizon or a bus frontier other
- * than element-wise issue would show up in the second pass.  Fixed
+ * fast-forward that leaves a bank horizon other than element-wise
+ * issue would show up in the second pass.  Fixed
  * seeds keep the suite to a few seconds in a Debug build.
  */
 

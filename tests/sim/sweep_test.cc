@@ -843,18 +843,19 @@ TEST(SweepBatched, ThrowingBatchDoesNotConsumeSoloAttempts)
     EXPECT_EQ(outcome.batchedPoints, 0u);
 }
 
-TEST(SweepBatched, DisabledBatchingNeverCallsBatchEval)
+TEST(SweepBatched, SingletonGroupsNeverCallBatchEval)
 {
     std::atomic<int> batchCalls{0};
-    SweepOptions opts = quiet(2);
-    opts.batch = false;
+    SweepGroups singletons;
+    for (std::size_t i = 0; i < 6; ++i)
+        singletons.push_back({i});
     const auto outcome = runSweepBatched(
-        6, pairGroups(6), [](std::size_t, SweepWorker &) {},
+        6, singletons, [](std::size_t, SweepWorker &) {},
         [&](std::span<const std::size_t> group, SweepWorker &) {
             batchCalls.fetch_add(1, std::memory_order_relaxed);
             return std::vector<bool>(group.size(), true);
         },
-        opts);
+        quiet(2));
     EXPECT_EQ(outcome.completedOk, 6u);
     EXPECT_EQ(batchCalls.load(), 0);
     EXPECT_EQ(outcome.batchedPoints, 0u);
@@ -903,11 +904,8 @@ TEST(CsvSweepBatched, RowsByteIdenticalToUnbatchedRun)
     ASSERT_TRUE(with.ok());
     EXPECT_GT(with.value().outcome.batchedPoints, 0u);
 
-    SweepOptions unbatched = quiet(1);
-    unbatched.batch = false;
-    const auto without = runCsvSweepBatched(
-        kPoints, solo_eval, batchGridRows, failedRow, groups,
-        unbatched);
+    const auto without =
+        runCsvSweep(kPoints, solo_eval, failedRow, quiet(1));
     ASSERT_TRUE(without.ok());
     EXPECT_EQ(without.value().outcome.batchedPoints, 0u);
 

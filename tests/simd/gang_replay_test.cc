@@ -1,15 +1,15 @@
 /**
  * Gang-replay differential matrix: SimResults and cache statistics
- * must be bit-identical with the CC walker's SIMD gang probe on and
- * off.
+ * under SimEngine::Auto, which takes the CC walker's SIMD gang probe
+ * and run memo, must be bit-identical to SimEngine::Scalar, the
+ * element-at-a-time strip walk.
  *
- * Gang-off recovers the element-at-a-time strip walk exactly (the
- * VCACHE_GANG=off escape hatch), so equality here proves the gang
- * probe's all-hit skip never changes what is simulated, across every
- * cache organization, workload family (including double streams),
- * prefetch and non-blocking setting, and with observers attached.
- * Runs under every backend the CI matrix forces via VCACHE_SIMD, so
- * the scalar and AVX2 gangs are both pinned.
+ * Equality here proves the gang probe's all-hit skip never changes
+ * what is simulated, across every cache organization, workload family
+ * (including double streams), prefetch and non-blocking setting, and
+ * with observers attached.  Runs under every backend the CI matrix
+ * forces via VCACHE_SIMD, so the scalar and AVX2 gangs are both
+ * pinned.
  */
 
 #include <gtest/gtest.h>
@@ -144,15 +144,14 @@ struct CcOutcome
 };
 
 CcOutcome
-runCc(const CacheConfig &config, TraceSource &source, bool gang,
+runCc(const CacheConfig &config, TraceSource &source, SimEngine engine,
       bool prefetch, bool non_blocking)
 {
     CcSimulator sim(paperMachineM32(), config);
     if (prefetch)
         sim.enablePrefetch(PrefetchPolicy::Stride, 2);
     sim.setNonBlockingMisses(non_blocking);
-    sim.setEngine(SimEngine::Scalar);
-    sim.setGangReplay(gang);
+    sim.setEngine(engine);
     source.reset();
     const SimResult result = sim.run(source);
     return {result, sim.cache().stats(), sim.prefetchesIssued()};
@@ -167,13 +166,14 @@ diffCc(const CacheConfig &config, TraceSource &source,
             const std::string tag = label +
                                     (prefetch ? "+prefetch" : "") +
                                     (non_blocking ? "+nonblock" : "");
-            const CcOutcome off =
-                runCc(config, source, false, prefetch, non_blocking);
-            const CcOutcome on =
-                runCc(config, source, true, prefetch, non_blocking);
-            expectSameResult(on.result, off.result, tag);
-            expectSameStats(on.stats, off.stats, tag);
-            EXPECT_EQ(on.prefetches, off.prefetches) << tag;
+            const CcOutcome want = runCc(config, source,
+                                         SimEngine::Scalar, prefetch,
+                                         non_blocking);
+            const CcOutcome got = runCc(config, source, SimEngine::Auto,
+                                        prefetch, non_blocking);
+            expectSameResult(got.result, want.result, tag);
+            expectSameStats(got.stats, want.stats, tag);
+            EXPECT_EQ(got.prefetches, want.prefetches) << tag;
         }
     }
 }
@@ -218,24 +218,22 @@ TEST(GangReplayCc, ConstantStrideStreams)
 
 /**
  * Observers compile the gang path out (the hook sees every element),
- * so an instrumented gang-on run must equal the plain gang-off run
- * and the observer's counters must still reconcile.
+ * so an instrumented Auto run must equal the plain Scalar run and the
+ * observer's counters must still reconcile.
  */
-TEST(GangReplayCc, ObserversOnMatchesGangOff)
+TEST(GangReplayCc, ObserversOnMatchesScalar)
 {
     TraceVectorSource source(gangEdgeTrace());
     for (const auto &[name, config] : allSchemes()) {
-        const CcOutcome off = runCc(config, source, false, false,
-                                    false);
+        const CcOutcome want = runCc(config, source, SimEngine::Scalar,
+                                     false, false);
 
         CcSimulator sim(paperMachineM32(), config);
-        sim.setEngine(SimEngine::Scalar);
-        sim.setGangReplay(true);
         TracingObserver traced("cc");
         source.reset();
         const SimResult got = sim.run(source, traced);
-        expectSameResult(got, off.result, "observed/" + name);
-        expectSameStats(sim.cache().stats(), off.stats,
+        expectSameResult(got, want.result, "observed/" + name);
+        expectSameStats(sim.cache().stats(), want.stats,
                         "observed/" + name);
         EXPECT_EQ(counterOf(traced, "hits"), got.hits) << name;
     }
