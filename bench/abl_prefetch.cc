@@ -25,9 +25,8 @@
 
 #include <iostream>
 
-#include "cache/direct.hh"
+#include "cache/mapped.hh"
 #include "cache/prefetch.hh"
-#include "cache/prime.hh"
 #include "common.hh"
 #include "core/defaults.hh"
 #include "sim/cc_sim.hh"

@@ -15,8 +15,7 @@
 
 #include <iostream>
 
-#include "cache/direct.hh"
-#include "cache/prime.hh"
+#include "cache/mapped.hh"
 #include "common.hh"
 #include "core/comparison.hh"
 #include "core/defaults.hh"

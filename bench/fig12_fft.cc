@@ -15,8 +15,7 @@
 #include <iostream>
 
 #include "analytic/fft_model.hh"
-#include "cache/direct.hh"
-#include "cache/prime.hh"
+#include "cache/mapped.hh"
 #include "common.hh"
 #include "core/defaults.hh"
 #include "sim/runner.hh"

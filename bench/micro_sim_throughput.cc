@@ -17,8 +17,7 @@
 #include <string>
 #include <vector>
 
-#include "cache/direct.hh"
-#include "cache/prime.hh"
+#include "cache/mapped.hh"
 #include "simd/kernels.hh"
 #include "core/comparison.hh"
 #include "core/defaults.hh"

@@ -13,8 +13,7 @@
 #include <iostream>
 
 #include "analytic/presets.hh"
-#include "cache/direct.hh"
-#include "cache/prime.hh"
+#include "cache/mapped.hh"
 #include "common.hh"
 #include "core/comparison.hh"
 #include "core/defaults.hh"

@@ -12,8 +12,7 @@
 #include <iostream>
 
 #include "analytic/subblock_model.hh"
-#include "cache/direct.hh"
-#include "cache/prime.hh"
+#include "cache/mapped.hh"
 #include "common.hh"
 #include "core/defaults.hh"
 #include "sim/runner.hh"

@@ -397,125 +397,6 @@ class Cache
     std::string name_;
 };
 
-namespace detail
-{
-
-/**
- * Shared Cache::captureState / restoreState plumbing for the frame
- * vectors every organization in this library keeps (a struct with
- * `valid`, `line`, `flags` members, whatever its name).  Two layouts,
- * selected per capture by whichever is smaller and distinguished by a
- * tag word:
- *
- *   dense:  [kDense, frameCount, then per frame: line,
- *            (flags << 1) | valid]
- *   sparse: [kSparse, frameCount, validCount, then per valid frame:
- *            index, line, flags]
- *
- * The sparse form matters to the sampling engine, which snapshots the
- * cache once per live-point: a mostly-cold cache serializes in
- * O(valid frames) instead of O(cache size).
- */
-constexpr std::uint64_t kFrameStateDense = 0;
-constexpr std::uint64_t kFrameStateSparse = 1;
-
-template <typename FrameT>
-inline void
-appendFrameState(const std::vector<FrameT> &frames,
-                 std::vector<std::uint64_t> &out)
-{
-    std::size_t valid = 0;
-    for (const FrameT &f : frames)
-        if (f.valid)
-            ++valid;
-    if (3 + 3 * valid < 2 + 2 * frames.size()) {
-        out.reserve(out.size() + 3 + 3 * valid);
-        out.push_back(kFrameStateSparse);
-        out.push_back(frames.size());
-        out.push_back(valid);
-        for (std::size_t i = 0; i < frames.size(); ++i) {
-            const FrameT &f = frames[i];
-            if (!f.valid)
-                continue;
-            out.push_back(i);
-            out.push_back(f.line);
-            out.push_back(f.flags);
-        }
-        return;
-    }
-    out.reserve(out.size() + 2 + 2 * frames.size());
-    out.push_back(kFrameStateDense);
-    out.push_back(frames.size());
-    for (const FrameT &f : frames) {
-        out.push_back(f.line);
-        out.push_back((static_cast<std::uint64_t>(f.flags) << 1) |
-                      (f.valid ? 1u : 0u));
-    }
-}
-
-/**
- * Words the frame section occupies at the head of a state blob, or 0
- * when the head is not a well-formed section for this frame vector.
- */
-template <typename FrameT>
-inline std::size_t
-frameStateWords(const std::vector<FrameT> &frames,
-                const std::uint64_t *words, std::size_t n)
-{
-    if (n < 2 || words[1] != frames.size())
-        return 0;
-    if (words[0] == kFrameStateDense) {
-        const std::size_t need = 2 + 2 * frames.size();
-        return n >= need ? need : 0;
-    }
-    if (words[0] == kFrameStateSparse) {
-        if (n < 3 || words[2] > frames.size())
-            return 0;
-        const std::size_t need = 3 + 3 * static_cast<std::size_t>(words[2]);
-        return n >= need ? need : 0;
-    }
-    return 0;
-}
-
-template <typename FrameT>
-inline bool
-restoreFrameState(std::vector<FrameT> &frames,
-                  const std::uint64_t *words, std::size_t n)
-{
-    if (frameStateWords(frames, words, n) != n || n == 0)
-        return false;
-    if (words[0] == kFrameStateSparse) {
-        const std::size_t valid = words[2];
-        // Validate before mutating so a bad blob leaves the cache
-        // unchanged.
-        for (std::size_t v = 0; v < valid; ++v)
-            if (words[3 + 3 * v] >= frames.size())
-                return false;
-        for (FrameT &f : frames) {
-            f.valid = false;
-            f.line = 0;
-            f.flags = 0;
-        }
-        for (std::size_t v = 0; v < valid; ++v) {
-            FrameT &f = frames[words[3 + 3 * v]];
-            f.valid = true;
-            f.line = words[4 + 3 * v];
-            f.flags = static_cast<std::uint8_t>(words[5 + 3 * v]);
-        }
-        return true;
-    }
-    for (std::size_t i = 0; i < frames.size(); ++i) {
-        FrameT &f = frames[i];
-        f.line = words[2 + 2 * i];
-        const std::uint64_t packed = words[3 + 2 * i];
-        f.valid = (packed & 1u) != 0;
-        f.flags = static_cast<std::uint8_t>(packed >> 1);
-    }
-    return true;
-}
-
-} // namespace detail
-
 /**
  * Statically-bound tag probe: for a `final` concrete cache type the
  * call resolves at compile time (and inlines); for the base class it

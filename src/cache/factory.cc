@@ -2,11 +2,8 @@
 
 #include <sstream>
 
-#include "cache/direct.hh"
-#include "cache/prime.hh"
-#include "cache/prime_assoc.hh"
+#include "cache/mapped.hh"
 #include "cache/set_assoc.hh"
-#include "cache/xor_mapped.hh"
 #include "numtheory/mersenne.hh"
 #include "util/logging.hh"
 
@@ -93,9 +90,10 @@ makeCache(const CacheConfig &config)
       case Organization::XorMapped:
         return std::make_unique<XorMappedCache>(layout);
       case Organization::PrimeSetAssociative:
-        return std::make_unique<PrimeSetAssociativeCache>(
+        return std::make_unique<SetAssociativeCache>(
             layout, config.associativity,
-            makeReplacementPolicy(config.replacement, config.rngSeed));
+            makeReplacementPolicy(config.replacement, config.rngSeed),
+            simd::IndexMap::Mersenne);
     }
     vc_panic("unknown cache organization");
 }

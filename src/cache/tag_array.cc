@@ -1,7 +1,5 @@
 #include "cache/tag_array.hh"
 
-#include "cache/cache.hh"
-
 namespace vcache
 {
 
@@ -12,7 +10,7 @@ TagArray::appendState(std::vector<std::uint64_t> &out) const
     const std::size_t valid = valid_count_;
     if (3 + 3 * valid < 2 + 2 * n) {
         out.reserve(out.size() + 3 + 3 * valid);
-        out.push_back(detail::kFrameStateSparse);
+        out.push_back(kSparseState);
         out.push_back(n);
         out.push_back(valid);
         for (std::size_t i = 0; i < n; ++i) {
@@ -25,7 +23,7 @@ TagArray::appendState(std::vector<std::uint64_t> &out) const
         return;
     }
     out.reserve(out.size() + 2 + 2 * n);
-    out.push_back(detail::kFrameStateDense);
+    out.push_back(kDenseState);
     out.push_back(n);
     for (std::size_t i = 0; i < n; ++i) {
         out.push_back(lineOrZero(i));
@@ -40,11 +38,11 @@ TagArray::stateWords(const std::uint64_t *words, std::size_t n) const
 {
     if (n < 2 || words[1] != tags_.size())
         return 0;
-    if (words[0] == detail::kFrameStateDense) {
+    if (words[0] == kDenseState) {
         const std::size_t need = 2 + 2 * tags_.size();
         return n >= need ? need : 0;
     }
-    if (words[0] == detail::kFrameStateSparse) {
+    if (words[0] == kSparseState) {
         if (n < 3 || words[2] > tags_.size())
             return 0;
         const std::size_t need =
@@ -59,7 +57,7 @@ TagArray::restoreState(const std::uint64_t *words, std::size_t n)
 {
     if (stateWords(words, n) != n || n == 0)
         return false;
-    if (words[0] == detail::kFrameStateSparse) {
+    if (words[0] == kSparseState) {
         const std::size_t valid = words[2];
         // Validate before mutating so a bad blob leaves the array
         // unchanged.

@@ -1,10 +1,9 @@
 /**
  * @file
- * Structure-of-arrays tag state for the direct-style mappings.
+ * Structure-of-arrays tag state for every cache organization.
  *
- * The AoS `struct Frame { bool valid; Addr line; uint8_t flags; }`
- * vector cost 24 bytes per frame and made a gang probe gather three
- * fields per element.  Here the same state is split into two planes:
+ * A frame's (valid, line, flags) state is split into two planes, so a
+ * gang probe gathers one word per element instead of a frame struct:
  *
  *   tags_[f]  -- the resident line address, or kEmptyTag (all-ones)
  *                when frame f is invalid;
@@ -13,20 +12,29 @@
  *
  * The sentinel makes residency a single comparison on the tag plane:
  * `tags_[f] == line` proves a hit for every line except the sentinel
- * value itself, so the SIMD gang probe (simd::Kernels::gangProbe)
- * gathers one 64-bit word per element instead of a whole frame
- * struct.  The one ambiguous case -- a genuinely resident line equal
- * to ~0, reachable because VectorRef element arithmetic wraps mod
- * 2^64 -- is tracked by a resident-sentinel count; while it is
- * nonzero, gang users must take the scalar path (sentinelResident()).
+ * value itself, which is all the SIMD gang probe
+ * (simd::Kernels::gangProbe) compares.  The one ambiguous case -- a
+ * genuinely resident line equal to ~0, reachable because VectorRef
+ * element arithmetic wraps mod 2^64 -- is tracked by a
+ * resident-sentinel count; while it is nonzero, gang users must take
+ * the scalar path (sentinelResident()).
  * The scalar probe is exact always: resident() checks the valid bit
  * whenever the probed line is the sentinel.
  *
- * Serialization is byte-identical to the detail::appendFrameState
- * blob the AoS layout produced (invalid frames normalise their line
- * word to 0, as a default-constructed Frame held line = 0), so PR 5/6
- * checkpoints and run-state certificates survive the layout change
- * unchanged.
+ * The same array holds the ways of the set-associative cache (frame
+ * = set * ways + way), so appendState()/restoreState() are the one
+ * frame-state codec of every organization.  Two layouts, selected per
+ * capture by whichever is smaller and distinguished by a tag word:
+ *
+ *   dense:  [kDenseState, frameCount, then per frame: line,
+ *            (flags << 1) | valid]
+ *   sparse: [kSparseState, frameCount, validCount, then per valid
+ *            frame: index, line, flags]
+ *
+ * Invalid frames serialize their line word as 0.  The sparse form
+ * matters to the sampling engine, which snapshots the cache once per
+ * live-point: a mostly-cold cache serializes in O(valid frames)
+ * instead of O(cache size).
  */
 
 #ifndef VCACHE_CACHE_TAG_ARRAY_HH
@@ -49,6 +57,9 @@ class TagArray
     static constexpr std::uint8_t kValidBit = 0x80;
     /** Metadata bits that are frame flags. */
     static constexpr std::uint8_t kFlagMask = 0x7f;
+    /** Tag words of the two appendState() layouts. */
+    static constexpr std::uint64_t kDenseState = 0;
+    static constexpr std::uint64_t kSparseState = 1;
 
     explicit TagArray(std::uint64_t frames)
         : tags_(frames, kEmptyTag), meta_(frames, 0)
@@ -77,9 +88,9 @@ class TagArray
     Addr line(std::uint64_t f) const { return tags_[f]; }
 
     /**
-     * Resident line, with invalid frames reading as 0 -- the value
-     * the AoS layout's default-constructed frames reported, kept for
-     * AccessOutcome::evictedLine and blob parity.
+     * Resident line, with invalid frames reading as 0: the value
+     * AccessOutcome::evictedLine and the state blobs report for an
+     * empty frame.
      */
     Addr
     lineOrZero(std::uint64_t f) const
@@ -140,11 +151,18 @@ class TagArray
     /** The contiguous tag plane, for simd::Kernels::gangProbe. */
     const std::uint64_t *tagPlane() const { return tags_.data(); }
 
-    // captureState/restoreState plumbing, byte-identical to
-    // detail::appendFrameState on the old AoS frame vector.
+    /** Append the frame state to `out` (Cache::captureState). */
     void appendState(std::vector<std::uint64_t> &out) const;
+
+    /**
+     * Words the frame state occupies at the head of a blob, or 0 when
+     * the head is not well formed for this array's size.
+     */
     std::size_t stateWords(const std::uint64_t *words,
                            std::size_t n) const;
+
+    /** Restore exactly n words of appendState() output; false (array
+     *  unchanged) on a malformed or mis-sized blob. */
     bool restoreState(const std::uint64_t *words, std::size_t n);
 
   private:

@@ -25,14 +25,11 @@
 // Cache framework.
 #include "cache/cache.hh"
 #include "cache/classify.hh"
-#include "cache/direct.hh"
 #include "cache/factory.hh"
+#include "cache/mapped.hh"
 #include "cache/prefetch.hh"
-#include "cache/prime.hh"
-#include "cache/prime_assoc.hh"
 #include "cache/replacement.hh"
 #include "cache/set_assoc.hh"
-#include "cache/xor_mapped.hh"
 
 // Interleaved memory substrate.
 #include "memory/bus.hh"

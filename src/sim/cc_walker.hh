@@ -92,9 +92,8 @@
 
 #include "analytic/machine.hh"
 #include "cache/cache.hh"
-#include "cache/direct.hh"
+#include "cache/mapped.hh"
 #include "cache/prefetch.hh"
-#include "cache/prime.hh"
 #include "memory/bus.hh"
 #include "memory/interleaved.hh"
 #include "sim/cancel.hh"

@@ -8,8 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "cache/classify.hh"
-#include "cache/direct.hh"
-#include "cache/prime.hh"
+#include "cache/mapped.hh"
 
 namespace vcache
 {

@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "cache/direct.hh"
+#include "cache/mapped.hh"
 
 namespace vcache
 {

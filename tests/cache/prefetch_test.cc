@@ -2,9 +2,8 @@
 
 #include <gtest/gtest.h>
 
-#include "cache/direct.hh"
+#include "cache/mapped.hh"
 #include "cache/prefetch.hh"
-#include "cache/prime.hh"
 #include "sim/runner.hh"
 #include "trace/multistride.hh"
 

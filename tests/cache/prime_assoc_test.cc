@@ -3,20 +3,20 @@
 #include <gtest/gtest.h>
 
 #include "cache/factory.hh"
-#include "cache/prime.hh"
-#include "cache/prime_assoc.hh"
+#include "cache/mapped.hh"
+#include "cache/set_assoc.hh"
 
 namespace vcache
 {
 namespace
 {
 
-std::unique_ptr<PrimeSetAssociativeCache>
+std::unique_ptr<SetAssociativeCache>
 makeTwoWay(unsigned index_bits)
 {
-    return std::make_unique<PrimeSetAssociativeCache>(
+    return std::make_unique<SetAssociativeCache>(
         AddressLayout(0, index_bits, 32), 2,
-        std::make_unique<LruPolicy>());
+        std::make_unique<LruPolicy>(), simd::IndexMap::Mersenne);
 }
 
 TEST(PrimeSetAssoc, Geometry)
@@ -110,9 +110,9 @@ TEST(PrimeSetAssoc, FactoryBuildsIt)
 
 TEST(PrimeSetAssocDeathTest, RejectsCompositeExponent)
 {
-    EXPECT_DEATH(PrimeSetAssociativeCache(
-                     AddressLayout(0, 11, 32), 2,
-                     std::make_unique<LruPolicy>()),
+    EXPECT_DEATH(SetAssociativeCache(AddressLayout(0, 11, 32), 2,
+                                     std::make_unique<LruPolicy>(),
+                                     simd::IndexMap::Mersenne),
                  "Mersenne");
 }
 

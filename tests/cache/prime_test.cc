@@ -2,8 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "cache/direct.hh"
-#include "cache/prime.hh"
+#include "cache/mapped.hh"
 #include "numtheory/mersenne.hh"
 #include "sim/runner.hh"
 #include "trace/multistride.hh"
@@ -148,12 +147,6 @@ TEST(PrimeMappedDeathTest, RejectsCompositeExponent)
 {
     EXPECT_DEATH(PrimeMappedCache{AddressLayout(0, 11, 32)},
                  "Mersenne");
-}
-
-TEST(PrimeMapped, CompositeExponentWhenRelaxed)
-{
-    PrimeMappedCache cache(AddressLayout(0, 11, 32), false);
-    EXPECT_EQ(cache.numLines(), 2047u);
 }
 
 } // namespace

@@ -1,11 +1,12 @@
 /**
- * SoA tag-array serialization pins (guards PR 6 live-points).
+ * Tag-array serialization pins (guards saved live-points).
  *
- * The structure-of-arrays TagArray must serialize byte-identically to
- * the old AoS frame vector's detail::appendFrameState encoding: both
- * the dense and the sparse form are pinned word-for-word against
- * hand-built blobs, every organization round-trips capture -> restore
- * -> capture exactly, and the ~0 sentinel-resident edge survives.
+ * TagArray::appendState is the frame-state codec of every
+ * organization, and its blobs must stay byte-identical to those saved
+ * journals hold: both the dense and the sparse form are pinned
+ * word-for-word against hand-built blobs, every organization
+ * round-trips capture -> restore -> capture exactly, and the ~0
+ * sentinel-resident edge survives.
  */
 
 #include <gtest/gtest.h>

@@ -2,8 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "cache/prime.hh"
-#include "cache/xor_mapped.hh"
+#include "cache/mapped.hh"
 
 namespace vcache
 {
@@ -19,12 +18,12 @@ tinyLayout()
 TEST(XorMapped, HashIsXorOfDigits)
 {
     XorMappedCache cache(tinyLayout());
-    EXPECT_EQ(cache.hashIndex(0), 0u);
-    EXPECT_EQ(cache.hashIndex(5), 5u);
+    EXPECT_EQ(cache.frameIndex(0), 0u);
+    EXPECT_EQ(cache.frameIndex(5), 5u);
     // 32 + 5 = 0b100101: high digit 1 ^ low digit 5 = 4.
-    EXPECT_EQ(cache.hashIndex(37), 4u);
+    EXPECT_EQ(cache.frameIndex(37), 4u);
     // Three digits: 1 ^ 2 ^ 3 = 0.
-    EXPECT_EQ(cache.hashIndex((1ull << 10) | (2ull << 5) | 3), 0u);
+    EXPECT_EQ(cache.frameIndex((1ull << 10) | (2ull << 5) | 3), 0u);
 }
 
 TEST(XorMapped, BasicHitMiss)

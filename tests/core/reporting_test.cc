@@ -4,7 +4,7 @@
 
 #include <sstream>
 
-#include "cache/direct.hh"
+#include "cache/mapped.hh"
 #include "core/defaults.hh"
 #include "core/reporting.hh"
 #include "sim/runner.hh"

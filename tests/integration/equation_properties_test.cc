@@ -9,8 +9,7 @@
 
 #include "analytic/cc_model.hh"
 #include "analytic/mm_model.hh"
-#include "cache/direct.hh"
-#include "cache/prime.hh"
+#include "cache/mapped.hh"
 #include "core/defaults.hh"
 #include "memory/sweep_model.hh"
 #include "numtheory/divisors.hh"

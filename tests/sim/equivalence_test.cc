@@ -6,14 +6,18 @@
  * materializing traces.  These tests pin all of that against fixed
  * golden SimResults captured from the pre-optimization simulator, on
  * the three workload families the repo uses: VCM, multistride and
- * FFT.  The generic virtual-dispatch walk (every organization other
- * than direct and prime) is pinned by tests/sim/cc_fuzz_test.cc.
+ * FFT.  The five other organizations of allSchemes() take the generic
+ * virtual-dispatch walk; their golden counters (cache statistics
+ * included) are pinned here too, and the walk itself is pinned
+ * against the element-wise engine by tests/sim/cc_fuzz_test.cc.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
 
+#include "cache_schemes.hh"
 #include "core/defaults.hh"
 #include "sim/cc_sim.hh"
 #include "trace/fft.hh"
@@ -169,6 +173,105 @@ TEST(SimulatorGolden, MultistrideNonBlockingPrime)
     checkGolden(CacheScheme::Prime, Mode::NonBlocking,
                 multistrideTrace(),
                 {68552u, 2880u, 36864u, 26123u, 10741u, 10226u}, 0u);
+}
+
+/**
+ * Run `trace` through the allSchemes() configuration `scheme` and pin
+ * both the machine's SimResult and the cache's own counters.
+ */
+void
+checkOrganizationGolden(const std::string &scheme, const Trace &trace,
+                        const SimResult &want,
+                        const CacheStats &want_stats)
+{
+    SCOPED_TRACE(scheme);
+    for (const auto &[name, config] : allSchemes()) {
+        if (name != scheme)
+            continue;
+        CcSimulator sim(paperMachineM32(), config);
+        expectSameResult(sim.run(trace), want);
+        const CacheStats &got = sim.cache().stats();
+        EXPECT_EQ(got.accesses, want_stats.accesses);
+        EXPECT_EQ(got.hits, want_stats.hits);
+        EXPECT_EQ(got.misses, want_stats.misses);
+        EXPECT_EQ(got.reads, want_stats.reads);
+        EXPECT_EQ(got.writes, want_stats.writes);
+        EXPECT_EQ(got.evictions, want_stats.evictions);
+        EXPECT_EQ(got.writebacks, want_stats.writebacks);
+        return;
+    }
+    ADD_FAILURE() << "no configuration named " << scheme;
+}
+
+// Golden counters of the five organizations beyond direct and prime,
+// on the same traces: SimResult as above, then CacheStats {accesses,
+// hits, misses, reads, writes, evictions, writebacks}.  The fuzz
+// suites compare engines over one cache class, so only these catch a
+// change in a cache's own answers.
+
+TEST(OrganizationGolden, PrimeAssoc)
+{
+    checkOrganizationGolden("prime-assoc", vcmTrace(),
+                            {17734u, 862u, 9216u, 7681u, 2147u, 2147u},
+                            {9828u, 7681u, 2147u, 9828u, 0u, 14u, 0u});
+    checkOrganizationGolden("prime-assoc", multistrideTrace(),
+                            {70264u, 4656u, 36864u, 26527u, 10337u, 10226u},
+                            {36864u, 26527u, 10337u, 36864u, 0u, 1338u, 0u});
+    checkOrganizationGolden("prime-assoc", fftTrace(),
+                            {311414u, 30720u, 24576u, 45056u, 4096u, 4096u},
+                            {49152u, 45056u, 4096u, 49152u, 0u, 0u, 0u});
+}
+
+TEST(OrganizationGolden, SetAssoc)
+{
+    checkOrganizationGolden("set-assoc", vcmTrace(),
+                            {17734u, 862u, 9216u, 7681u, 2147u, 2147u},
+                            {9828u, 7681u, 2147u, 9828u, 0u, 3u, 0u});
+    checkOrganizationGolden("set-assoc", multistrideTrace(),
+                            {71656u, 5856u, 36864u, 26452u, 10412u, 10226u},
+                            {36864u, 26452u, 10412u, 36864u, 0u, 3388u, 0u});
+    checkOrganizationGolden("set-assoc", fftTrace(),
+                            {311414u, 30720u, 24576u, 45056u, 4096u, 4096u},
+                            {49152u, 45056u, 4096u, 49152u, 0u, 0u, 0u});
+}
+
+TEST(OrganizationGolden, Xor)
+{
+    checkOrganizationGolden("xor", vcmTrace(),
+                            {21814u, 4782u, 9216u, 7436u, 2392u, 2147u},
+                            {9828u, 7436u, 2392u, 9828u, 0u, 481u, 0u});
+    checkOrganizationGolden("xor", multistrideTrace(),
+                            {99128u, 33264u, 36864u, 24739u, 12125u, 10226u},
+                            {36864u, 24739u, 12125u, 36864u, 0u, 6201u, 0u});
+    checkOrganizationGolden("xor", fftTrace(),
+                            {311414u, 30720u, 24576u, 45056u, 4096u, 4096u},
+                            {49152u, 45056u, 4096u, 49152u, 0u, 0u, 0u});
+}
+
+TEST(OrganizationGolden, SetAssocRandom)
+{
+    checkOrganizationGolden("set-assoc-random", vcmTrace(),
+                            {17734u, 862u, 9216u, 7681u, 2147u, 2147u},
+                            {9828u, 7681u, 2147u, 9828u, 0u, 3u, 0u});
+    checkOrganizationGolden("set-assoc-random", multistrideTrace(),
+                            {80904u, 15072u, 36864u, 25876u, 10988u, 10226u},
+                            {36864u, 25876u, 10988u, 36864u, 0u, 3964u, 0u});
+    checkOrganizationGolden("set-assoc-random", fftTrace(),
+                            {311414u, 30720u, 24576u, 45056u, 4096u, 4096u},
+                            {49152u, 45056u, 4096u, 49152u, 0u, 0u, 0u});
+}
+
+TEST(OrganizationGolden, Direct4Word)
+{
+    checkOrganizationGolden("direct-4word", vcmTrace(),
+                            {22637u, 5685u, 9216u, 7592u, 2236u, 1918u},
+                            {9828u, 7592u, 2236u, 9828u, 0u, 497u, 0u});
+    checkOrganizationGolden("direct-4word", multistrideTrace(),
+                            {103964u, 37764u, 36864u, 25245u, 11619u, 9438u},
+                            {36864u, 25245u, 11619u, 36864u, 0u, 6019u, 0u});
+    checkOrganizationGolden("direct-4word", fftTrace(),
+                            {287878u, 7680u, 24576u, 48127u, 1025u, 1025u},
+                            {49152u, 48127u, 1025u, 49152u, 0u, 0u, 0u});
 }
 
 /**

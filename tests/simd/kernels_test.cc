@@ -58,7 +58,7 @@ INSTANTIATE_TEST_SUITE_P(AllBackends, PerBackend,
                          ::testing::ValuesIn(simd::availableBackends()),
                          backendSuiteName);
 
-/** Scalar XOR fold of c-bit digits (XorMappedCache::hashIndex). */
+/** Scalar XOR fold of c-bit digits (XorMappedCache::frameIndex). */
 std::uint64_t
 refXorFold(std::uint64_t x, unsigned c)
 {
