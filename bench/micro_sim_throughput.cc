@@ -170,14 +170,18 @@ paperPointRequest(std::uint64_t blocking_factor)
 
 void
 BM_FreshCcSimulator(benchmark::State &state, CacheScheme scheme,
-                    std::uint64_t blocking_factor)
+                    std::uint64_t blocking_factor,
+                    SimEngine engine = SimEngine::Auto)
 {
     const EvalRequest req = paperPointRequest(blocking_factor);
     const Trace trace = buildTraceArena(req).cc;
     const MachineParams machine = evalMachine(req);
     const auto n = totalElements(trace);
-    for (auto _ : state)
-        benchmark::DoNotOptimize(simulateCc(machine, scheme, trace));
+    for (auto _ : state) {
+        TraceVectorSource source(trace);
+        benchmark::DoNotOptimize(
+            simulateCc(machine, scheme, source, nullptr, engine));
+    }
     state.SetItemsProcessed(
         static_cast<std::int64_t>(state.iterations() * n));
     state.SetLabel(simdBackendLabel());
@@ -189,6 +193,13 @@ BENCHMARK_CAPTURE(BM_FreshCcSimulator, direct_b8192, CacheScheme::Direct,
                   8192);
 BENCHMARK_CAPTURE(BM_FreshCcSimulator, prime_b8192, CacheScheme::Prime,
                   8192);
+// The element-wise oracle on the B=8192 point: CI reports the same-run
+// Auto / Scalar ratio, the whole-walk payoff of the fast paths
+// (closed-form cold passes, exact-mask gangs, the run memo).
+BENCHMARK_CAPTURE(BM_FreshCcSimulator, direct_b8192_scalar,
+                  CacheScheme::Direct, 8192, SimEngine::Scalar);
+BENCHMARK_CAPTURE(BM_FreshCcSimulator, prime_b8192_scalar,
+                  CacheScheme::Prime, 8192, SimEngine::Scalar);
 
 /**
  * The first-touch set alone, as a CC run drives it: a fresh set

@@ -132,6 +132,13 @@ def main(argv: list[str]) -> None:
             rate_of("BM_FreshCcSimulator/direct_b8192"),
         "cc_fresh_prime_b8192_elements_per_s":
             rate_of("BM_FreshCcSimulator/prime_b8192"),
+        # The B=8192 point under the element-wise oracle
+        # (--engine scalar): CI reports the same-run Auto / Scalar
+        # ratio per scheme.
+        "cc_fresh_direct_b8192_scalar_elements_per_s":
+            rate_of("BM_FreshCcSimulator/direct_b8192_scalar"),
+        "cc_fresh_prime_b8192_scalar_elements_per_s":
+            rate_of("BM_FreshCcSimulator/prime_b8192_scalar"),
         # The first-touch set on its own: one cache's worth of a
         # strided stream into a fresh presized set, per stride.
         "first_touch_set_s1_inserts_per_s":

@@ -61,27 +61,71 @@ MappedCache<Map>::verifySteadyRun(Addr base, std::int64_t stride,
     if (layout_.offsetBits() != 0 ||
         !spansWithoutWrap(base, stride, length))
         return false;
-    const std::uint64_t period =
-        steadyRunPeriod(tags_.size(), stride);
+    const std::uint64_t frames = tags_.size();
+    const std::uint64_t period = steadyRunPeriod(frames, stride);
     const std::uint64_t distinct = period < length ? period : length;
+    // Residue class r's last element -- the line its frame must hold
+    // after any complete pass -- is r + q*period for r <= rem and
+    // r + (q - 1)*period above, from one quotient and remainder.  The
+    // frame of r is frame(base) + r*stride mod frames either way
+    // (stride*period is a multiple of frames), so it steps by
+    // stride mod frames with no per-class division.
+    const std::uint64_t q = (length - 1) / period;
+    const std::uint64_t rem = (length - 1) % period;
+    const std::uint64_t step = static_cast<std::uint64_t>(stride);
+    const std::uint64_t frame_step = floorMod(stride, frames);
+    // Classes below this have two or more distinct addresses, so
+    // their frames get refilled on replay; a flag bit there would
+    // mean a writeback or a flag change, breaking the fixed point.
+    const std::uint64_t refilled =
+        stride != 0 && length > period ? length - period : 0;
+    Addr addr = base + step * (q * period);
+    std::uint64_t f = frameOf(base);
     for (std::uint64_t r = 0; r < distinct; ++r) {
-        // Last element of residue class r: the line this frame must
-        // hold after any complete pass over the run.
-        const std::uint64_t last =
-            r + (length - 1 - r) / period * period;
-        const Addr addr = static_cast<Addr>(
-            static_cast<std::int64_t>(base) +
-            stride * static_cast<std::int64_t>(last));
-        const std::uint64_t f = frameOf(addr);
-        if (!tags_.resident(f, addr))
+        if (r == rem + 1)
+            addr -= step * period; // past rem: one period earlier
+        if (!tags_.resident(f, addr) ||
+            (r < refilled && tags_.flags(f) != 0))
             return false;
-        // Classes with two or more distinct addresses get their frame
-        // refilled on replay; a flag bit there would mean a writeback
-        // or a flag change, breaking the fixed point.
-        if (stride != 0 && r + period < length && tags_.flags(f) != 0)
-            return false;
+        addr += step;
+        f += frame_step;
+        if (f >= frames)
+            f -= frames;
     }
     return true;
+}
+
+template <simd::IndexMap Map>
+bool
+MappedCache<Map>::fillMissingRun(Addr base, std::int64_t stride,
+                                 std::uint64_t length)
+    requires(Map != simd::IndexMap::XorFold)
+{
+    const std::uint64_t frames = tags_.size();
+    const std::uint64_t frame_step = floorMod(stride, frames);
+    std::uint64_t f = frameOf(base);
+    Addr addr = base;
+    bool all_missed = true;
+    std::uint64_t evictions = 0;
+    std::uint64_t writebacks = 0;
+    for (std::uint64_t i = 0; i < length; ++i) {
+        all_missed &= !tags_.resident(f, addr);
+        if (tags_.valid(f)) {
+            ++evictions;
+            writebacks += (tags_.flags(f) & kDirtyFlag) != 0;
+        }
+        tags_.place(f, addr);
+        addr += static_cast<std::uint64_t>(stride);
+        f += frame_step;
+        if (f >= frames)
+            f -= frames;
+    }
+    stats_.accesses += length;
+    stats_.reads += length;
+    stats_.misses += length;
+    stats_.evictions += evictions;
+    stats_.writebacks += writebacks;
+    return all_missed;
 }
 
 template <simd::IndexMap Map>

@@ -179,6 +179,20 @@ class MappedCache final : public Cache
                          std::uint64_t length) const
         requires(Map != simd::IndexMap::XorFold);
 
+    /**
+     * Fill every line of a run that the caller proved non-resident
+     * (the CC walker's cold pass), exactly as `length` missing reads
+     * would, with the stats of those reads.  The frame steps by stride
+     * mod frames, as in verifySteadyRun().  Requires one-word lines and
+     * a non-wrapping run.
+     *
+     * @return false when some line was resident after all (the fill
+     *         then went on; the caller's proof was wrong)
+     */
+    bool fillMissingRun(Addr base, std::int64_t stride,
+                        std::uint64_t length)
+        requires(Map != simd::IndexMap::XorFold);
+
     bool appendRunState(Addr base, std::int64_t stride,
                         std::uint64_t length,
                         std::vector<std::uint64_t> &out) const override;

@@ -1,5 +1,7 @@
 #include "core/configio.hh"
 
+#include <cmath>
+
 #include "core/defaults.hh"
 #include "util/logging.hh"
 
@@ -11,6 +13,9 @@ machineFromConfig(const KeyValueConfig &config)
 {
     MachineParams m = paperMachineM64();
     m.mvl = config.getUint("machine.mvl", m.mvl);
+    // A zero MVL strip-mines nothing (the simulators divide by it).
+    if (m.mvl == 0)
+        vc_fatal("machine.mvl must be at least 1");
     m.bankBits = static_cast<unsigned>(
         config.getUint("machine.bank_bits", m.bankBits));
     m.memoryTime = config.getUint("machine.memory_time", m.memoryTime);
@@ -18,6 +23,12 @@ machineFromConfig(const KeyValueConfig &config)
         config.getUint("machine.cache_bits", m.cacheIndexBits));
     m.startupBase =
         config.getDouble("machine.startup_base", m.startupBase);
+    // The simulators cast the start-up to an unsigned cycle count, and
+    // their closed forms rest on every bank being free at each strip
+    // start, which a negative start-up breaks.
+    if (!std::isfinite(m.startupBase) || m.startupBase < 0)
+        vc_fatal("machine.startup_base must be a finite, non-negative "
+                 "cycle count (got ", m.startupBase, ")");
     const auto mapping =
         config.getString("machine.bank_mapping", "low-order");
     if (mapping == "low-order")

@@ -122,19 +122,40 @@ class InterleavedMemory
     }
 
     /**
-     * Record that a batched simulator path derived, in closed form,
-     * that word_addr's bank last issued at cycle `when`: the bank's
-     * busy horizon advances exactly as the matching issue() call
-     * would have left it.  A state-absorption API, not an access --
-     * deliberately not a fault-injection site (the batched engines
-     * fall back to element-wise replay whenever a fault plan is
-     * armed, so site hit counts stay identical).
+     * Whether issueStripRun() is exact for the run base + i*stride
+     * (i < length) strip-mined behind `gap` cycles of start-up per
+     * strip: a residue-periodic mapping (LowOrder always, PrimeModulo
+     * for a run that does not wrap), a start-up that frees every bank
+     * before the next strip starts (gap + 1 >= t_m), and no armed
+     * fault plan (the closed form never visits the memory.bank.issue
+     * site).  Both machines ask this one predicate: the MM machine for
+     * a single-stream run, the CC walker for a cold pass.
      */
-    void
-    noteRunIssue(Addr word_addr, Cycles when)
-    {
-        busyUntil[bankOf(word_addr)] = when + tm;
-    }
+    bool canIssueStripRun(Cycles gap, Addr base, std::int64_t stride,
+                          std::uint64_t length) const;
+
+    /**
+     * Issue a non-empty strip-mined run in closed form, exactly as
+     * issue() element by element would: each strip of up to `mvl`
+     * elements starts `gap` cycles after the previous one ends (the
+     * first at clock + gap) and issues one element per cycle, stalling
+     * in order on a busy bank.  Advances `clock` past the last issue,
+     * adds the bank waits to `stall`, and leaves every bank's busy
+     * horizon where element-wise issue would.
+     *
+     * The bank sequence (base + i*stride) mod M repeats every
+     * Q = M / gcd(stride mod M, M) elements, so within a strip element
+     * i issues at (i mod Q) + floor(i / Q) * t_m when t_m > Q (each
+     * bank revisit waits out the previous access) and at i otherwise:
+     * O(1) for the clock and stall, O(min(Q, length)) for the horizons.
+     *
+     * Requires canIssueStripRun(gap, ...) and every bank free by
+     * clock + gap (true whenever each earlier issue at cycle w was
+     * followed by clock > w).
+     */
+    void issueStripRun(Cycles gap, std::uint64_t mvl, Addr base,
+                       std::int64_t stride, std::uint64_t length,
+                       Cycles &clock, Cycles &stall);
 
     /** Outcome of streaming a whole address sequence. */
     struct StreamResult

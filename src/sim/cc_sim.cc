@@ -48,6 +48,7 @@ CcSimulator::reset()
     solo.inFlight.clear();
     solo.prefetchCount = 0;
     touchedLines.clear();
+    paths = CcPathCounts{};
 }
 
 SimResult

@@ -15,7 +15,7 @@
  *     inlinable calls, with the virtual interface for every other
  *     organization;
  *   - uninstrumented, prefetch-free runs under SimEngine::Auto (the
- *     default) take the walker's gang probe and run memo;
+ *     default) take the walker's cold pass, gang probe and run memo;
  *     SimEngine::Scalar, prefetching runs and instrumented runs walk
  *     every element, and Scalar is the oracle the differential tests
  *     pin every other path against;
@@ -44,7 +44,6 @@
 #include "sim/result.hh"
 #include "trace/access.hh"
 #include "trace/source.hh"
-#include "util/flat_hash.hh"
 
 namespace vcache
 {
@@ -139,7 +138,10 @@ class CcSimulator
      * Restore a Cache::captureState() live-point snapshot into this
      * simulator's cache (sampling-engine resume; see sim/sampling.hh).
      * Bank and bus timing state is *not* part of a live-point -- the
-     * caller re-warms it with a detailed-warming prefix.
+     * caller re-warms it with a detailed-warming prefix.  Every
+     * restored line a later run can read must also be seeded with
+     * seedTouchedLines(): the walker's cold pass proves lines absent
+     * from the cache by their absence from the first-touch set.
      *
      * @return false on a geometry mismatch (cache unchanged)
      */
@@ -158,10 +160,13 @@ class CcSimulator
     void
     seedTouchedLines(const std::vector<Addr> &lines)
     {
-        touchedLines.reserve(touchedLines.size() + lines.size());
+        touchedLines.reserve(lines.size());
         for (Addr line : lines)
             touchedLines.insert(line);
     }
+
+    /** Which walker path answered each op since the last reset(). */
+    const CcPathCounts &pathCounts() const { return paths; }
 
     const Cache &cache() const { return *vectorCache; }
     const MachineParams &params() const { return machine; }
@@ -178,7 +183,9 @@ class CcSimulator
     MachineParams machine;
     std::unique_ptr<Cache> vectorCache;
     /** Every line ever brought in (first touch => compulsory). */
-    FlatSet<Addr> touchedLines;
+    FirstTouchSet touchedLines;
+    /** Which walker path answered each op since the last reset(). */
+    CcPathCounts paths;
     /** The timing lane: clock, stall and bank replica. */
     CcLane lane;
     /** Read buses and timed-prefetch state. */
@@ -195,7 +202,7 @@ template <typename CacheT, bool Prefetching, typename Observer>
 SimResult
 CcSimulator::walk(CacheT &cache, TraceSource &source, Observer &obs)
 {
-    touchedLines.reserve(touchedLines.size() + source.readFootprint());
+    touchedLines.reserve(source.readFootprint());
     // Sampled is driven from sim/sampling.hh, which feeds this
     // simulator per-unit trace slices; inside a unit it is Auto.
     const CcWalkOptions opts{
@@ -216,6 +223,7 @@ CcSimulator::walk(CacheT &cache, TraceSource &source, Observer &obs)
         walker.step(op);
     }
 
+    paths.add(walker.paths);
     SimResult result = walker.counts;
     result.stallCycles = lane.stall;
     result.totalCycles = lane.clock;

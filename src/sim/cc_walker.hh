@@ -43,18 +43,35 @@
  * The functional state -- the cache, with its replacement state, and
  * the first-touch set that classifies compulsory misses -- never reads
  * a clock, so one walk serves every lane.  On top of the element loop
- * the walker has two fast paths, both exact, which run together or
+ * the walker has three fast paths, all exact, which run together or
  * not at all (CcWalkOptions::fastPaths): SimEngine::Auto, gang lanes
- * and the sampling warmer take both; SimEngine::Scalar takes neither,
- * so its element loop is the one reference every fast path is pinned
- * against (tests/sim/cc_fuzz_test.cc):
+ * and the sampling warmer take them; SimEngine::Scalar takes none, so
+ * its element loop is the one reference every fast path is pinned
+ * against (tests/sim/cc_fuzz_test.cc).  CcPathCounts records which
+ * path answered each op.
  *
+ *   - Cold pass: a single-stream op whose every line is provably a
+ *     first touch (a non-zero stride of at least a line, no wrap, and
+ *     a line extent disjoint from the first-touch set's) misses on
+ *     every element and starts every strip cold, and each of its
+ *     misses issues at its bank exactly as an MM access does.  The
+ *     walker fills the cache and the first-touch set in one loop and
+ *     times each lane with the MM machine's closed form,
+ *     InterleavedMemory::issueStripRun(), under its one eligibility
+ *     predicate, canIssueStripRun() (residue bank mapping, no armed
+ *     fault plan, strip start-up + 1 >= t_m).
  *   - Gang probe: on a cache whose read hits are inert, a strip is
  *     probed a gang of lines at a time through the dispatched SIMD
  *     kernels (32 elements, or 16 per stream when double-stream).  An
- *     all-hit gang is credited in bulk; any miss drops the gang to
- *     the element loop, which replays it in issue order from
- *     unchanged state.  A gang whose head misses is not probed.
+ *     all-hit gang is credited in bulk.  On a direct or prime cache
+ *     (one-word lines, no wrap) whose frame period for the stride is
+ *     at least a gang, no two elements of a single-stream gang share
+ *     a frame, so a miss cannot change another element's outcome: the
+ *     mask is exact, and the walker credits each run of hits in bulk
+ *     and reads only the misses, in issue order.  Any other gang with
+ *     a miss drops to the element loop, which replays it in issue
+ *     order from unchanged state.  A gang whose head misses is not
+ *     probed.
  *   - Run memo: vector workloads repeat one constant-stride op, and
  *     after a pass or two the cache settles into the op's fixed
  *     point.  The memo keeps the last op and certifies a repeat
@@ -86,6 +103,7 @@
 #define VCACHE_SIM_CC_WALKER_HH
 
 #include <algorithm>
+#include <bit>
 #include <span>
 #include <type_traits>
 #include <vector>
@@ -102,6 +120,7 @@
 #include "simd/kernels.hh"
 #include "trace/access.hh"
 #include "util/flat_hash.hh"
+#include "util/logging.hh"
 
 namespace vcache
 {
@@ -200,6 +219,117 @@ struct CcLane
 };
 
 /**
+ * The first-touch set that classifies compulsory misses: every line
+ * ever brought in, plus the extent [lo, hi] of those lines, widened at
+ * every insert (a demand miss, a timed prefetch, a live-point seed).
+ * The extent lets the cold pass prove, with two compares, that none of
+ * an op's lines was ever touched.
+ *
+ * Lines come in one by one, into a FlatSet, or as a whole cold run: a
+ * constant-stride progression none of whose lines was in the set.  A
+ * few such runs are kept as run records instead of hashed line by
+ * line, so a cold pass costs no hash insert per element; membership
+ * in a record is a range check and an exact divisibility test by
+ * multiplication.
+ */
+class FirstTouchSet
+{
+  public:
+    /** @return true when `line` is new to the set */
+    bool
+    insert(Addr line)
+    {
+        for (const Run &r : runs)
+            if (r.holds(line))
+                return false;
+        lo = std::min(lo, line);
+        hi = std::max(hi, line);
+        return lines.insert(line);
+    }
+
+    /**
+     * Add the lines first + i*step (i < count; step > 0, no wrap), none
+     * of which is in the set: a record while there is room, else line
+     * by line.
+     */
+    void
+    insertRun(Addr first, std::uint64_t step, std::uint64_t count)
+    {
+        if (runs.size() == kMaxRuns) {
+            for (std::uint64_t i = 0; i < count; ++i)
+                insert(first + step * i);
+            return;
+        }
+        Run r;
+        r.lo = first;
+        r.span = step * (count - 1);
+        r.shift = static_cast<unsigned>(std::countr_zero(step));
+        const std::uint64_t odd = step >> r.shift;
+        // odd * inverse == 1 (mod 2^64), by Newton's iteration: each
+        // step doubles the correct low bits, from 3 at the start.
+        r.inverse = odd;
+        for (int k = 0; k < 5; ++k)
+            r.inverse *= 2 - odd * r.inverse;
+        r.limit = ~std::uint64_t{0} / odd;
+        runs.push_back(r);
+        lo = std::min(lo, first);
+        hi = std::max(hi, first + r.span);
+    }
+
+    /** True when no line in [first, last] can be in the set. */
+    bool
+    disjoint(Addr first, Addr last) const
+    {
+        return last < lo || first > hi;
+    }
+
+    /** Room for `n` more lines inserted one by one. */
+    void reserve(std::size_t n) { lines.reserve(lines.size() + n); }
+
+    void
+    clear()
+    {
+        lines.clear();
+        runs.clear();
+        lo = ~Addr{0};
+        hi = 0;
+    }
+
+  private:
+    /** Run records kept before runs go in line by line. */
+    static constexpr std::size_t kMaxRuns = 4;
+
+    /**
+     * The lines lo + j * (odd << shift), j*(odd << shift) <= span.
+     * d is a multiple of an odd m iff d * m^-1 (mod 2^64) <= (2^64 -
+     * 1) / m.
+     */
+    struct Run
+    {
+        Addr lo = 0;
+        std::uint64_t span = 0;
+        unsigned shift = 0;
+        std::uint64_t inverse = 1;
+        std::uint64_t limit = 0;
+
+        bool
+        holds(Addr line) const
+        {
+            const std::uint64_t d = line - lo;
+            return d <= span &&
+                   (d & ((std::uint64_t{1} << shift) - 1)) == 0 &&
+                   (d >> shift) * inverse <= limit;
+        }
+    };
+
+    FlatSet<Addr> lines;
+    std::vector<Run> runs;
+    /** The extent; empty as [~0, 0]. */
+    Addr lo = ~Addr{0};
+    Addr hi = 0;
+};
+
+/**
  * Solo-only state behind the one-lane walker's `if constexpr` hooks:
  * the read buses observed runs report on, and the timed prefetcher
  * (see CcSimulator::enablePrefetch).
@@ -292,7 +422,7 @@ class CcWalker
      * @param solo the prefetch and bus state; read only by the
      *             element-wise (observed or prefetching) instantiation
      */
-    CcWalker(CacheT &cache, FlatSet<Addr> &touched,
+    CcWalker(CacheT &cache, FirstTouchSet &touched,
              std::span<CcLane> lanes, const CcWalkOptions &opts,
              Observer &obs, CcSoloState *solo = nullptr)
         : cache(cache), touched(touched), lanes(lanes), opts(opts),
@@ -311,11 +441,13 @@ class CcWalker
             if constexpr (Observer::kEnabled)
                 obs.onVectorOpBegin(lanes[0].clock, op);
             stripLoop(op);
+            ++paths.elementWiseOps;
             if constexpr (Observer::kEnabled)
                 obs.onVectorOpEnd(lanes[0].clock);
         } else {
             if (!opts.fastPaths) {
                 stripLoop(op);
+                ++paths.elementWiseOps;
                 return;
             }
             const bool repeat =
@@ -325,13 +457,21 @@ class CcWalker
                 memo.phase = Phase::Armed;
                 memo.attempts = 0;
                 memo.repeated = false;
-                stripLoop(op);
+                if (coldPass(op)) {
+                    ++paths.coldOps;
+                } else {
+                    stripLoop(op);
+                    ++paths.elementWiseOps;
+                }
             } else if (memo.phase == Phase::Verified) {
                 replay();
             } else if (memo.phase == Phase::Refused) {
                 stripLoop(op);
+                ++paths.refusedOps;
             } else if (certify(op)) {
                 replay();
+            } else {
+                ++paths.elementWiseOps; // a certification pass
             }
         }
     }
@@ -357,6 +497,8 @@ class CcWalker
 
     /** Lane-independent results so far (the two cycle fields unused). */
     SimResult counts;
+    /** Which path answered each op. */
+    CcPathCounts paths;
     /** Elements of the ops walked rather than replayed from the memo. */
     std::uint64_t walkedElements = 0;
     /** Zero lanes: when set, receives each line at its first touch. */
@@ -398,6 +540,8 @@ class CcWalker
         unsigned attempts = 0;
         /** A repeat of the op has been walked since it was armed. */
         bool repeated = false;
+        /** Verified by tier 1 (else tier 2). */
+        bool tier1 = false;
         CcEvents events;
         /** results, hits and misses per pass. */
         SimResult counts;
@@ -419,6 +563,7 @@ class CcWalker
     void
     replay()
     {
+        ++(memo.tier1 ? paths.tier1Ops : paths.tier2Ops);
         // Nothing reads a zero-lane walk's counters or cache stats.
         if constexpr (Lanes == LaneCount::Zero)
             return;
@@ -489,6 +634,7 @@ class CcWalker
             memo.stats.evictions = s1.evictions - s0.evictions;
             memo.stats.writebacks = s1.writebacks - s0.writebacks;
             memo.phase = Phase::Verified;
+            memo.tier1 = false;
         } else if (++memo.attempts >= kVerifyAttempts) {
             memo.phase = Phase::Refused;
         }
@@ -540,7 +686,131 @@ class CcWalker
         memo.stats.misses = probe.misses;
         memo.stats.evictions = probe.misses;
         memo.phase = Phase::Verified;
+        memo.tier1 = true;
         return true;
+    }
+
+    /**
+     * The closed-form cold pass (see the file comment).  Each element
+     * of a single-stream op with a non-zero stride of at least a line,
+     * no address wrap, and a line extent disjoint from the first-touch
+     * set's, reads a line never touched before: a compulsory miss.
+     * Every resident line the walk can read is in the first-touch set
+     * (a live-point seeds the lines its window can re-read), so each
+     * read also misses the cache.  Every strip then starts cold and
+     * every element issues at its bank as in an MM strip, so the
+     * functional work is one fill loop and each live lane's timing is
+     * InterleavedMemory::issueStripRun().
+     *
+     * @return false, having done nothing, when the op does not qualify
+     */
+    bool
+    coldPass(const VectorOp &op)
+    {
+        const VectorRef &ref = op.first;
+        const AddressLayout &layout = cache.addressLayout();
+        const std::uint64_t magnitude =
+            ref.stride < 0 ? 0 - static_cast<std::uint64_t>(ref.stride)
+                           : static_cast<std::uint64_t>(ref.stride);
+        if (op.second || ref.length == 0 ||
+            magnitude < layout.lineWords() ||
+            !spansWithoutWrap(ref.base, ref.stride, ref.length))
+            return false;
+        const Addr head = layout.lineAddress(ref.base);
+        const Addr tail =
+            layout.lineAddress(ref.element(ref.length - 1));
+        if (!touched.disjoint(std::min(head, tail), std::max(head, tail)))
+            return false;
+        if constexpr (Lanes != LaneCount::Zero) {
+            for (const CcLane &l : lanes)
+                if (!l.dead && !l.memory.canIssueStripRun(
+                                   l.coldStrip, ref.base, ref.stride,
+                                   ref.length))
+                    return false;
+        }
+
+        // One-word lines: the lines are the run itself, one record.
+        const bool one_word = layout.lineWords() == 1;
+        if (one_word)
+            touched.insertRun(std::min(head, tail), magnitude,
+                              ref.length);
+        bool all_missed = true;
+        if (kSteadyMapped && one_word) {
+            if constexpr (kSteadyMapped)
+                all_missed = cache.fillMissingRun(ref.base, ref.stride,
+                                                  ref.length);
+        } else {
+            CacheT &cache = this->cache;
+            Addr a = ref.base;
+            for (std::uint64_t i = 0; i < ref.length; ++i) {
+                const Addr line = layout.lineAddress(a);
+                const AccessOutcome outcome = probeLine(cache, line);
+                all_missed &= !outcome.hit;
+                cache.recordAccess(outcome, AccessType::Read);
+                if (!one_word)
+                    touched.insert(line);
+                a += static_cast<std::uint64_t>(ref.stride);
+            }
+        }
+        vc_assert(all_missed, "a cold pass hit a line outside the "
+                              "first-touch set");
+        if constexpr (Lanes == LaneCount::Zero) {
+            if (firstTouchOrder)
+                for (std::uint64_t i = 0; i < ref.length; ++i)
+                    firstTouchOrder->push_back(
+                        layout.lineAddress(ref.element(i)));
+        }
+        walkedElements += ref.length;
+        counts.results += ref.length;
+        counts.misses += ref.length;
+        counts.compulsoryMisses += ref.length;
+
+        if constexpr (Lanes != LaneCount::Zero) {
+            flush();
+            for (CcLane &l : lanes)
+                if (!l.dead)
+                    l.memory.issueStripRun(l.coldStrip, opts.mvl,
+                                           ref.base, ref.stride,
+                                           ref.length, l.clock, l.stall);
+        }
+        return true;
+    }
+
+    /**
+     * Walk one gang from its exact hit mask: credit each run of hits
+     * in bulk and read only the misses, in issue order.
+     *
+     * @return the address after the gang
+     */
+    Addr
+    walkExactMask(CacheT &cache, const AddressLayout &layout, Addr a,
+                  std::int64_t stride, std::uint32_t hits, unsigned g)
+    {
+        ++paths.exactMaskGangs;
+        for (unsigned j = 0; j < g; ++j) {
+            const unsigned run =
+                static_cast<unsigned>(std::countr_one(hits >> j));
+            if (run != 0) {
+                creditHits(cache, run);
+                j += run;
+                a += static_cast<std::uint64_t>(stride) * run;
+                if (j == g)
+                    break;
+            }
+            access(cache, layout, a, StreamOperand::First);
+            a += static_cast<std::uint64_t>(stride);
+        }
+        return a;
+    }
+
+    /** Credit n inert read hits in bulk. */
+    void
+    creditHits(CacheT &cache, unsigned n)
+    {
+        cache.recordReadHits(n);
+        counts.hits += n;
+        paths.gangHits += n;
+        sink().add({.hits = n});
     }
 
     /** One op's strip-mined element loop, with the gang probe. */
@@ -557,6 +827,18 @@ class CcWalker
         bool gang_probe = false;
         if constexpr (!kElementWise)
             gang_probe = opts.fastPaths && cache.readHitsAreInert();
+        // Exact masks (see the file comment): a single-stream gang
+        // shorter than the frame period has no two elements in one
+        // frame, so its misses cannot change the other elements'
+        // outcomes and the probe's mask holds across the whole gang.
+        // A double-stream op's strips past its second stream qualify
+        // too.
+        bool exact_mask = false;
+        if constexpr (kSteadyMapped)
+            exact_mask = gang_probe && layout.offsetBits() == 0 &&
+                         spansWithoutWrap(op.first.base, s1,
+                                          op.first.length) &&
+                         steadyRunPeriod(cache.numLines(), s1) >= kGang;
 
         for (std::uint64_t done = 0; done < op.first.length;
              done += opts.mvl) {
@@ -592,9 +874,9 @@ class CcWalker
                         : 0;
                 // The probe is side-effect-free and hits are inert, so
                 // an all-hit gang of k reads is exactly k hit
-                // iterations.  A gang whose head misses is certain to
-                // replay element-wise, so skip its probe; at the strip
-                // head `warm` already holds that residency.
+                // iterations.  A gang whose head misses is likely to
+                // miss throughout, so skip its probe; at the strip head
+                // `warm` already holds that residency.
                 if (gang_probe &&
                     (i == 0 ? warm : containsWord(cache, a1))) {
                     std::uint32_t hits =
@@ -607,15 +889,19 @@ class CcWalker
                     }
                     const unsigned total = g + g2;
                     if (hits == simd::fullMask(total)) {
-                        cache.recordReadHits(total);
-                        counts.hits += total;
-                        sink().add({.hits = total});
+                        creditHits(cache, total);
                         counts.results += g;
                         i += g;
                         a1 = static_cast<Addr>(
                             static_cast<std::int64_t>(a1) + s1 * g);
                         a2 = static_cast<Addr>(
                             static_cast<std::int64_t>(a2) + s2 * g);
+                        continue;
+                    }
+                    if (exact_mask && !second) {
+                        a1 = walkExactMask(cache, layout, a1, s1, hits, g);
+                        counts.results += g;
+                        i += g;
                         continue;
                     }
                 }
@@ -787,7 +1073,7 @@ class CcWalker
     }
 
     CacheT &cache;
-    FlatSet<Addr> &touched;
+    FirstTouchSet &touched;
     std::span<CcLane> lanes;
     CcWalkOptions opts;
     Observer &obs;

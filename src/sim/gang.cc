@@ -15,7 +15,7 @@ namespace
 template <typename CacheT>
 std::vector<Expected<SimResult>>
 runGang(const MachineParams &base, CacheT &cache, TraceSource &source,
-        std::span<const GangLane> gang)
+        std::span<const GangLane> gang, CcPathCounts *paths)
 {
     std::vector<CcLane> lanes;
     lanes.reserve(gang.size());
@@ -30,7 +30,7 @@ runGang(const MachineParams &base, CacheT &cache, TraceSource &source,
     // Functional state, shared across every lane (see gang.hh).
     // Presized from the trace's read footprint so compulsory misses
     // never pay a rehash.
-    FlatSet<Addr> touched;
+    FirstTouchSet touched;
     touched.reserve(source.readFootprint());
     NullObserver obs;
     const CcWalkOptions opts{.mvl = base.mvl, .fastPaths = true};
@@ -52,6 +52,8 @@ runGang(const MachineParams &base, CacheT &cache, TraceSource &source,
         walker.step(op);
     }
     walker.flush();
+    if (paths)
+        *paths = walker.paths;
 
     std::vector<Expected<SimResult>> out;
     out.reserve(lanes.size());
@@ -72,22 +74,24 @@ runGang(const MachineParams &base, CacheT &cache, TraceSource &source,
 
 std::vector<Expected<SimResult>>
 simulateCcGang(const MachineParams &base, const CacheConfig &config,
-               TraceSource &source, std::span<const GangLane> lanes)
+               TraceSource &source, std::span<const GangLane> lanes,
+               CcPathCounts *paths)
 {
     if (lanes.empty())
         return {};
     const auto cache = makeCache(config);
     return withConcreteCache(*cache, [&](auto &concrete) {
-        return runGang(base, concrete, source, lanes);
+        return runGang(base, concrete, source, lanes, paths);
     });
 }
 
 std::vector<Expected<SimResult>>
 simulateCcGang(const MachineParams &base, CacheScheme scheme,
-               TraceSource &source, std::span<const GangLane> lanes)
+               TraceSource &source, std::span<const GangLane> lanes,
+               CcPathCounts *paths)
 {
     return simulateCcGang(base, ccCacheConfig(base, scheme), source,
-                          lanes);
+                          lanes, paths);
 }
 
 } // namespace vcache

@@ -13,13 +13,14 @@
  *
  * simulateCcGang() is the N-lane instantiation of the CC walker
  * (sim/cc_walker.hh, which states the timing rules): one walk, with
- * the gang probe and the run memo, over one shared cache.  Countable
- * events land in every lane as one multiply-add chain; each
- * compulsory miss is resolved against every lane's own bank replica.
+ * the cold pass, the gang probe and the run memo, over one shared
+ * cache.  Countable events land in every lane as one multiply-add
+ * chain; each compulsory miss is resolved against every lane's own
+ * bank replica, and a cold pass times each lane in closed form.
  * Each lane's SimResult is therefore bit-identical to a solo
  * CcSimulator run of that t_m (tests/sim/gang_test.cc and
  * tests/sim/cc_fuzz_test.cc hold the line), at roughly the cost of
- * one run instead of N.  Lanes always take both fast paths; the
+ * one run instead of N.  Lanes always take every fast path; the
  * element-wise reference they are pinned against is a solo
  * SimEngine::Scalar run.
  *
@@ -67,15 +68,18 @@ struct GangLane
  * machine {base with memoryTime = lane.memoryTime} would produce on
  * the same op stream.  `base.memoryTime` itself is ignored.  An empty
  * lane list returns an empty vector without touching the source.
+ * When `paths` is set, it receives which walker path answered each op.
  */
 std::vector<Expected<SimResult>>
 simulateCcGang(const MachineParams &base, const CacheConfig &config,
-               TraceSource &source, std::span<const GangLane> lanes);
+               TraceSource &source, std::span<const GangLane> lanes,
+               CcPathCounts *paths = nullptr);
 
 /** Scheme convenience: the paper's direct or prime cache. */
 std::vector<Expected<SimResult>>
 simulateCcGang(const MachineParams &base, CacheScheme scheme,
-               TraceSource &source, std::span<const GangLane> lanes);
+               TraceSource &source, std::span<const GangLane> lanes,
+               CcPathCounts *paths = nullptr);
 
 } // namespace vcache
 

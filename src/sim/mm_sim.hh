@@ -21,23 +21,19 @@
  *
  * Run batching (SimEngine::Auto, the default for uninstrumented
  * runs): for a single constant-stride stream the whole conflict
- * pattern is linear-congruence structure.  The bank sequence (base +
- * i*stride) mod M repeats with period Q = M / gcd(|stride| mod M, M),
- * so within a strip element i issues at the strip start plus
- * (i mod Q) + floor(i / Q) * t_m when t_m > Q (each bank revisit
- * waits out the remaining busy time) and plus i otherwise (revisits
- * come Q >= t_m cycles apart, so no request ever waits) -- giving
- * per-strip stall floor((count-1)/Q) * (t_m - Q) in closed form.
- * The batched path computes the whole op in O(1) plus O(Q) exact
- * end-state absorption (per-bank busy horizons via
- * InterleavedMemory::noteRunIssue), valid whenever banks are
- * provably free at every strip start (strip start-up >= t_m - 1) and
- * the mapping is residue-periodic (LowOrder always; PrimeModulo for
- * non-wrapping runs).  A double-stream op replays the strips that
- * hold second-stream elements element-wise (the two streams' bank
- * interleaving is cheap to replay but fiddly to prove) and
- * fast-forwards the single-stream tail after them, which starts on a
- * strip boundary with every bank free.  Skewed or XOR-hashed
+ * pattern is linear-congruence structure, and
+ * InterleavedMemory::issueStripRun() times the whole op in O(1) plus
+ * O(Q) exact end-state absorption, Q the bank period of the stride.
+ * That closed form is the one the CC walker's cold pass uses too (a
+ * compulsory miss pipelines through the banks like an MM access), and
+ * InterleavedMemory::canIssueStripRun() is its one eligibility
+ * predicate: banks provably free at every strip start (strip start-up
+ * >= t_m - 1) and a residue-periodic mapping (LowOrder always;
+ * PrimeModulo for non-wrapping runs).  A double-stream op replays the
+ * strips that hold second-stream elements element-wise (the two
+ * streams' bank interleaving is cheap to replay but fiddly to prove)
+ * and fast-forwards the single-stream tail after them, which starts on
+ * a strip boundary with every bank free.  Skewed or XOR-hashed
  * mappings, a PrimeModulo tail that wraps, armed fault-injection
  * plans (the batched path would skip the per-element
  * memory.bank.issue sites), instrumented runs and SimEngine::Scalar
@@ -122,21 +118,6 @@ class MmSimulator
                     std::uint64_t offset, std::uint64_t count,
                     SimResult &result, Observer &obs);
 
-    /**
-     * Whether fastForwardRun() is exact for `ref` (see the file
-     * comment): a residue-periodic mapping, strip start-ups that free
-     * every bank, and no armed fault plan.
-     */
-    bool canFastForward(const VectorRef &ref) const;
-
-    /**
-     * Issue a non-empty single-stream run in closed form, starting on
-     * a strip boundary with every bank free; updates result, clock
-     * and bank state exactly as element-wise issue would.  Requires
-     * canFastForward(ref).
-     */
-    void fastForwardRun(const VectorRef &ref, SimResult &result);
-
     MachineParams machine;
     InterleavedMemory memory;
     /** The read buses; reserved by observed runs only. */
@@ -187,6 +168,9 @@ MmSimulator::run(TraceSource &source, Observer &obs)
 {
     SimResult result;
     const std::uint64_t mvl = machine.mvl;
+    // Per-strip start-up: T_strip + T_start(t_m).
+    const Cycles gap = static_cast<Cycles>(machine.stripOverhead +
+                                           machine.startupTime());
 
     // The MM machine has no cache: observers see a zero-set domain.
     if constexpr (Observer::kEnabled)
@@ -219,18 +203,21 @@ MmSimulator::run(TraceSource &source, Observer &obs)
         const VectorRef tail{op.first.element(head), op.first.stride,
                              op.first.length - head};
         if (Observer::kEnabled || engineKind == SimEngine::Scalar ||
-            !canFastForward(tail))
+            !memory.canIssueStripRun(gap, tail.base, tail.stride,
+                                     tail.length))
             head = op.first.length;
 
         for (std::uint64_t done = 0; done < head; done += mvl) {
-            clock += static_cast<Cycles>(machine.stripOverhead +
-                                         machine.startupTime());
+            clock += gap;
             const std::uint64_t count =
                 std::min<std::uint64_t>(mvl, op.first.length - done);
             issueStrip(op.first, second, done, count, result, obs);
         }
-        if (head < op.first.length)
-            fastForwardRun(tail, result);
+        if (head < op.first.length) {
+            memory.issueStripRun(gap, mvl, tail.base, tail.stride,
+                                 tail.length, clock, result.stallCycles);
+            result.results += tail.length;
+        }
 
         // Stores drain through the write buffer without stalling the
         // pipeline (the paper's assumption), so they are never issued.

@@ -36,6 +36,50 @@ struct SimResult
     double missRatio() const;
 };
 
+/**
+ * Which path of the CC walker (sim/cc_walker.hh) answered each vector
+ * op of a walk, and what its gang probes credited in bulk.  Every op
+ * lands in exactly one of the five op counters.  Plain counters, not
+ * Observer hooks: an observer forces element-wise replay.  They let a
+ * differential test show that the fast path it pins really fired.
+ */
+struct CcPathCounts
+{
+    /** Ops walked element by element, memo refusals excluded. */
+    std::uint64_t elementWiseOps = 0;
+    /** Ops filled in one loop and timed by the cold closed form. */
+    std::uint64_t coldOps = 0;
+    /** Ops replayed from a tier-1 (closed-form) memo certificate. */
+    std::uint64_t tier1Ops = 0;
+    /** Ops replayed from a tier-2 (snapshot) memo certificate. */
+    std::uint64_t tier2Ops = 0;
+    /** Ops walked element by element because the memo refused them. */
+    std::uint64_t refusedOps = 0;
+    /** Element reads gang probes credited as hits in bulk. */
+    std::uint64_t gangHits = 0;
+    /** Gangs whose misses were walked alone, from an exact hit mask. */
+    std::uint64_t exactMaskGangs = 0;
+
+    std::uint64_t
+    ops() const
+    {
+        return elementWiseOps + coldOps + tier1Ops + tier2Ops +
+               refusedOps;
+    }
+
+    void
+    add(const CcPathCounts &o)
+    {
+        elementWiseOps += o.elementWiseOps;
+        coldOps += o.coldOps;
+        tier1Ops += o.tier1Ops;
+        tier2Ops += o.tier2Ops;
+        refusedOps += o.refusedOps;
+        gangHits += o.gangHits;
+        exactMaskGangs += o.exactMaskGangs;
+    }
+};
+
 } // namespace vcache
 
 #endif // VCACHE_SIM_RESULT_HH

@@ -485,7 +485,7 @@ sampleCc(const MachineParams &machine, const CacheConfig &cache_config,
     // footprint (each round's clear() keeps the capacity), so early in
     // the walk its slots are mostly empty; each live-point capture
     // scans the dense order instead.
-    FlatSet<Addr> touched;
+    FirstTouchSet touched;
     touched.reserve(readFootprintBound(trace));
     std::vector<Addr> touch_order;
     const CcWalkOptions walk_opts{.mvl = machine.mvl, .fastPaths = true};

@@ -45,9 +45,10 @@
  * sampler simply skips unsampled units; its speedup is the sampling
  * factor itself.  The CC sampler's functional walk is the CC walker
  * with zero timing lanes (sim/cc_walker.hh): it always takes the
- * walker's gang probe and run memo, so repeats of an op are skipped
- * once a memo tier certifies them.  The element-wise reference it is
- * pinned against is a solo SimEngine::Scalar run
+ * walker's fast paths (cold pass, gang probe, run memo), so repeats
+ * of an op are skipped once a memo tier certifies them.  The
+ * element-wise reference it is pinned against is a solo
+ * SimEngine::Scalar run
  * (CcWalkerFuzz.SampledWindowsSumToTheExactRun).  The measurement
  * windows run Auto: a solo walk holds the memo's tier-2 certification
  * back until an op's third walk, so a window of two ops pays for the

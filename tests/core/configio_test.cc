@@ -69,6 +69,28 @@ TEST(ConfigIoDeathTest, BadBankMapping)
         testing::ExitedWithCode(1), "bank_mapping");
 }
 
+TEST(ConfigIoDeathTest, ZeroMvl)
+{
+    EXPECT_EXIT((void)machineFromConfig(parseText("[machine]\nmvl = 0\n")),
+                testing::ExitedWithCode(1), "machine.mvl");
+}
+
+TEST(ConfigIoDeathTest, NegativeStartupBase)
+{
+    EXPECT_EXIT((void)machineFromConfig(
+                    parseText("[machine]\nstartup_base = -100\n")),
+                testing::ExitedWithCode(1), "machine.startup_base");
+}
+
+TEST(ConfigIoDeathTest, NonFiniteStartupBase)
+{
+    for (const char *text : {"[machine]\nstartup_base = nan\n",
+                             "[machine]\nstartup_base = inf\n"})
+        EXPECT_EXIT((void)machineFromConfig(parseText(text)),
+                    testing::ExitedWithCode(1), "machine.startup_base")
+            << text;
+}
+
 TEST(ConfigIo, CacheSection)
 {
     const auto c = parseText(

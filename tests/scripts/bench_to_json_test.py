@@ -132,6 +132,19 @@ class BenchToJsonTest(unittest.TestCase):
         self.assertEqual(
             summary["cc_fresh_prime_b8192_elements_per_s"], 4e7)
 
+    def test_fresh_b8192_scalar_keys(self):
+        raw = {"benchmarks": [
+            bench("BM_FreshCcSimulator/direct_b8192_scalar", 2e7, 1.0),
+            bench("BM_FreshCcSimulator/prime_b8192_scalar", 3e7, 1.0)]}
+        with tempfile.TemporaryDirectory() as d:
+            proc, out = run_script(raw, d)
+        self.assertEqual(proc.returncode, 0, proc.stderr)
+        summary = out["summary"]
+        self.assertEqual(
+            summary["cc_fresh_direct_b8192_scalar_elements_per_s"], 2e7)
+        self.assertEqual(
+            summary["cc_fresh_prime_b8192_scalar_elements_per_s"], 3e7)
+
     def test_missing_build_type_is_null_with_warning(self):
         raw = {"context": {"library_build_type": "debug"},
                "benchmarks": [bench("BM_X", 1.0, 1.0)]}

@@ -130,14 +130,19 @@ modelReq(const std::string &id, std::uint64_t tm)
            "\",\"tm\":" + std::to_string(tm) + ",\"sim\":false}";
 }
 
-/** A multi-second full-simulation request. */
+/**
+ * A full-simulation request that keeps a worker busy for a second or
+ * more.  It runs the element-wise oracle (engine scalar), so the
+ * engines' fast paths, which take the default engine's B = 2^20 point
+ * well under the tests' 300 ms head start, cannot shorten it.
+ */
 std::string
 slowReq(const std::string &id, std::uint64_t seed,
         const std::string &extra = "")
 {
     return "{\"op\":\"eval\",\"id\":\"" + id +
-           "\",\"B\":1048576,\"tm\":64,\"seed\":" +
-           std::to_string(seed) + extra + "}";
+           "\",\"B\":1048576,\"tm\":64,\"engine\":\"scalar\"," +
+           "\"seed\":" + std::to_string(seed) + extra + "}";
 }
 
 } // namespace

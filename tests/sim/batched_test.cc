@@ -446,9 +446,10 @@ TEST(BatchedCancellation, MmPollsPerOpInBothEngines)
  * Fault-injection interplay (compiled-in sites only): an armed plan
  * must observe identical site traffic from both engines.  The MM
  * fast-forward would skip memory.bank.issue sites, so it falls back
- * to element-wise replay when a plan is live; the CC engine keeps
- * batching because provably-steady passes never reach those sites in
- * either engine.
+ * to element-wise replay when a plan is live, and so does the CC
+ * walker's closed-form cold pass, which shares that closed form; the
+ * CC run memo keeps batching because provably-steady passes never
+ * reach those sites in either engine.
  */
 class BatchedFaults : public ::testing::Test
 {
@@ -516,6 +517,34 @@ TEST_F(BatchedFaults, CcDormantRuleKeepsBatchingAndCountsMatch)
     }
     expectSameResult(results[1], results[0], "cc-armed-plan");
     EXPECT_EQ(hits[0], hits[1]);
+}
+
+TEST_F(BatchedFaults, CcArmedPlanRefusesTheColdPass)
+{
+    // Fresh single-stream runs: the cold pass takes every one of them
+    // unless a plan is armed, and then every miss reaches the site.
+    Trace trace;
+    for (const Addr base : {Addr{1} << 20, Addr{2} << 20, Addr{3} << 20})
+        trace.push_back(VectorOp{VectorRef{base, 3, 1000}, {}, {}});
+    std::uint64_t hits[2] = {0, 0};
+    SimResult results[2];
+    int i = 0;
+    for (const SimEngine engine : {SimEngine::Scalar, SimEngine::Auto}) {
+        install("memory.bank.issue=throw@every:1000000000");
+        CcSimulator sim(paperMachineM32(), CacheConfig{});
+        sim.setEngine(engine);
+        results[i] = sim.run(trace);
+        EXPECT_EQ(sim.pathCounts().coldOps, 0u) << simEngineName(engine);
+        hits[i++] = faults::faultSiteHits("memory.bank.issue");
+    }
+    expectSameResult(results[1], results[0], "cc-armed-cold");
+    EXPECT_EQ(hits[0], 3000u);
+    EXPECT_EQ(hits[1], hits[0]);
+
+    faults::clearFaults();
+    CcSimulator sim(paperMachineM32(), CacheConfig{});
+    expectSameResult(sim.run(trace), results[0], "cc-disarmed-cold");
+    EXPECT_EQ(sim.pathCounts().coldOps, 3u);
 }
 
 } // namespace

@@ -12,6 +12,11 @@
  *   - sampleCc at sampling stride 1: the measured windows' hit,
  *     miss and compulsory-miss counts summing to the exact run's.
  *
+ * The walker's path counters (CcPathCounts) show that the fast paths
+ * really fire: on the fuzz streams, on targeted cases where each
+ * condition of the cold pass or the exact-mask gang is broken in
+ * turn, and on one VCM paper point.
+ *
  * Fixed seeds and a small cache keep the whole suite to a few seconds
  * in a Debug build, so every build and backend CI ships runs it.
  */
@@ -19,6 +24,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <set>
 #include <span>
 #include <string>
 #include <vector>
@@ -30,6 +36,7 @@
 #include "sim/gang.hh"
 #include "sim/sampling.hh"
 #include "trace/source.hh"
+#include "trace/vcm.hh"
 
 namespace vcache
 {
@@ -88,6 +95,7 @@ expectSame(const Outcome &got, const Outcome &want,
 
 TEST(CcWalkerFuzz, EnginesMatchTheElementWiseWalk)
 {
+    CcPathCounts fired;
     for (const std::uint64_t seed : kFuzzSeeds) {
         const Trace trace = fuzzTrace(seed);
         for (const auto &[name, config] : allSchemes(kIndexBits)) {
@@ -95,9 +103,12 @@ TEST(CcWalkerFuzz, EnginesMatchTheElementWiseWalk)
             for (const std::uint64_t tm : kMemoryTimes)
                 lanes.push_back(GangLane{tm, nullptr});
             TraceVectorSource source(trace);
+            CcPathCounts paths;
             const auto gang = simulateCcGang(machineAt(16), config,
-                                             source, lanes);
+                                             source, lanes, &paths);
             ASSERT_EQ(gang.size(), lanes.size());
+            EXPECT_EQ(paths.ops(), trace.size());
+            fired.add(paths);
 
             for (std::size_t n = 0; n < lanes.size(); ++n) {
                 const std::uint64_t tm = kMemoryTimes[n];
@@ -130,6 +141,11 @@ TEST(CcWalkerFuzz, EnginesMatchTheElementWiseWalk)
             }
         }
     }
+    // Not vacuous: the streams reach every fast path.
+    EXPECT_GT(fired.coldOps, 0u);
+    EXPECT_GT(fired.exactMaskGangs, 0u);
+    EXPECT_GT(fired.tier1Ops, 0u);
+    EXPECT_GT(fired.tier2Ops, 0u);
 }
 
 TEST(CcWalkerFuzz, SampledWindowsSumToTheExactRun)
@@ -164,6 +180,219 @@ TEST(CcWalkerFuzz, SampledWindowsSumToTheExactRun)
             EXPECT_EQ(got.compulsoryMisses, exact.compulsoryMisses)
                 << label;
         }
+    }
+}
+
+TEST(FirstTouchSet, RunRecordsHoldExactlyTheirLines)
+{
+    Rng rng(7);
+    for (int trial = 0; trial < 40; ++trial) {
+        FirstTouchSet set;
+        std::set<Addr> model;
+        constexpr Addr kStart = 1000;
+        Addr frontier = kStart;
+        // More runs than the set keeps records for, so the rest go in
+        // line by line; odd, even and power-of-two steps.
+        for (int r = 0; r < 7; ++r) {
+            const std::uint64_t step = 1 + rng.next() % 48;
+            const std::uint64_t count = 1 + rng.next() % 40;
+            const std::uint64_t span = step * (count - 1);
+            ASSERT_TRUE(set.disjoint(frontier, frontier + span));
+            set.insertRun(frontier, step, count);
+            for (std::uint64_t i = 0; i < count; ++i)
+                model.insert(frontier + step * i);
+            EXPECT_FALSE(set.disjoint(frontier, frontier)) << trial;
+            frontier += span + 1 + rng.next() % 8;
+        }
+        // insert() reports a line new exactly when the model lacks it.
+        for (Addr a = kStart - 8; a < frontier + 8; ++a)
+            ASSERT_EQ(set.insert(a), model.insert(a).second)
+                << "trial " << trial << " line " << a;
+    }
+}
+
+/**
+ * Run `trace` solo under Auto and under Scalar, both first-touch sets
+ * seeded with `seeded`; expect identical outcomes, and no fast path
+ * on the Scalar walk.
+ *
+ * @return the Auto walk's path counts
+ */
+CcPathCounts
+pinnedPaths(const MachineParams &m, const CacheConfig &config,
+            const Trace &trace, const std::string &label,
+            const std::vector<Addr> &seeded = {})
+{
+    CcSimulator fast(m, config);
+    CcSimulator scalar(m, config);
+    scalar.setEngine(SimEngine::Scalar);
+    fast.seedTouchedLines(seeded);
+    scalar.seedTouchedLines(seeded);
+    const SimResult want = scalar.run(trace);
+    const SimResult got = fast.run(trace);
+    expectSame({got, fast.cache().stats()},
+               {want, scalar.cache().stats()}, label);
+
+    const CcPathCounts &oracle = scalar.pathCounts();
+    EXPECT_EQ(oracle.elementWiseOps, trace.size()) << label;
+    EXPECT_EQ(oracle.gangHits, 0u) << label;
+    EXPECT_EQ(oracle.exactMaskGangs, 0u) << label;
+    EXPECT_EQ(fast.pathCounts().ops(), trace.size()) << label;
+    return fast.pathCounts();
+}
+
+CacheConfig
+directConfig(unsigned offset_bits = 0)
+{
+    CacheConfig config;
+    config.indexBits = kIndexBits;
+    config.offsetBits = offset_bits;
+    return config;
+}
+
+VectorOp
+singleOp(Addr base, std::int64_t stride, std::uint64_t length)
+{
+    VectorOp op;
+    op.first = VectorRef{base, stride, length};
+    return op;
+}
+
+constexpr Addr kBase = Addr{1} << 20;
+
+TEST(CcWalkerPaths, ColdPassTakesFreshRunsOfEitherSign)
+{
+    // Three fresh runs, lengths off the strip edges, one descending.
+    const Trace trace = {singleOp(kBase, 1, 200),
+                         singleOp(kBase + 10000, 3, 65),
+                         singleOp(kBase + 20000 + 149 * 5, -5, 150)};
+    for (const std::uint64_t tm : kMemoryTimes) {
+        const std::string label = "tm " + std::to_string(tm);
+        EXPECT_EQ(pinnedPaths(machineAt(tm), directConfig(), trace, label)
+                      .coldOps,
+                  3u)
+            << label;
+    }
+}
+
+TEST(CcWalkerPaths, ColdPassRefusesWhatItCannotProve)
+{
+    const VectorOp evens = singleOp(kBase, 2, 200);
+    struct Case
+    {
+        const char *name;
+        Trace trace;
+        std::uint64_t coldOps;
+        std::vector<Addr> seeded = {};
+        BankMapping mapping = BankMapping::LowOrder;
+        unsigned offsetBits = 0;
+    };
+    const Case cases[] = {
+        // The odd words were never touched, but they lie inside the
+        // first-touch extent, so only the even pass is provably cold.
+        {"overlapping extent", {evens, singleOp(kBase + 1, 2, 200)}, 1},
+        {"seeded first-touch set", {evens}, 0, {kBase + 100}},
+        {"stride 0", {singleOp(kBase, 0, 100)}, 0},
+        {"wrapping op", {singleOp(~Addr{0} - 20, 1, 64)}, 0},
+        {"descending wrap", {singleOp(20, -1, 64)}, 0},
+        {"stride below the line", {singleOp(kBase, 2, 100)}, 0, {},
+         BankMapping::LowOrder, 2},
+        {"skewed banks", {evens}, 0, {}, BankMapping::Skewed},
+        {"xor banks", {evens}, 0, {}, BankMapping::XorHash},
+        {"prime banks", {evens}, 1, {}, BankMapping::PrimeModulo},
+    };
+    for (const Case &c : cases) {
+        MachineParams m = machineAt(16);
+        m.bankMapping = c.mapping;
+        EXPECT_EQ(pinnedPaths(m, directConfig(c.offsetBits), c.trace,
+                              c.name, c.seeded)
+                      .coldOps,
+                  c.coldOps)
+            << c.name;
+    }
+}
+
+TEST(CcWalkerPaths, ExactMasksNeedAFramePeriodOfAGang)
+{
+    for (const std::int64_t stride : {1, 3, 4, 8, 16}) {
+        // One gang that fits in the 128-frame direct cache's period,
+        // min(32, 128 / stride) elements; a one-element op evicts its
+        // element 5; the gang's re-walk then hits at its head and
+        // misses inside.
+        const auto length = static_cast<std::uint64_t>(
+            std::min<std::int64_t>(32, 128 / stride));
+        const VectorOp gang = singleOp(kBase, stride, length);
+        const Trace trace = {gang,
+                             singleOp(kBase + 5 * stride + 128 * 64, 1, 1),
+                             gang};
+        const std::string label = "stride " + std::to_string(stride);
+        const CcPathCounts direct =
+            pinnedPaths(machineAt(16), directConfig(), trace, label);
+        EXPECT_EQ(direct.coldOps, 2u) << label;
+        // Exact only when the period, 128 / stride, is a whole gang.
+        EXPECT_EQ(direct.exactMaskGangs, 128 / stride >= 32 ? 1u : 0u)
+            << label;
+
+        // Multi-word lines never take exact masks.
+        EXPECT_EQ(pinnedPaths(machineAt(16), directConfig(2), trace,
+                              label + " 4-word")
+                      .exactMaskGangs,
+                  0u)
+            << label;
+    }
+}
+
+TEST(CcWalkerPaths, PaperPointTakesTheColdPassAndExactMasks)
+{
+    // m = 5, B = 8192, P_ds = 0.2: the workload of one paper point,
+    // over the first four seeds.  A gang takes an exact mask only when
+    // its head hits and a later element misses; on the direct cache an
+    // even first-stream stride (period <= B / 2) misses every element
+    // of a steady pass, so the counts are summed over the seeds.
+    VcmParams p;
+    p.blockingFactor = 8192;
+    p.reuseFactor = 8;
+    p.pDoubleStream = 0.2;
+    p.blocks = 2;
+    const MachineParams m = paperMachineM32();
+    for (const CacheScheme scheme :
+         {CacheScheme::Direct, CacheScheme::Prime}) {
+        const std::string name =
+            scheme == CacheScheme::Prime ? "prime" : "direct";
+        CcPathCounts solo;
+        CcPathCounts gang;
+        for (const std::uint64_t seed : {1, 2, 3, 4}) {
+            const Trace trace = generateVcmTrace(p, seed);
+            const std::string label =
+                name + " seed " + std::to_string(seed);
+            solo.add(pinnedPaths(m, ccCacheConfig(m, scheme), trace,
+                                 label));
+
+            const GangLane lanes[] = {{16, nullptr}, {64, nullptr}};
+            TraceVectorSource source(trace);
+            CcPathCounts paths;
+            const auto results =
+                simulateCcGang(m, scheme, source, lanes, &paths);
+            gang.add(paths);
+            for (std::size_t n = 0; n < results.size(); ++n) {
+                ASSERT_TRUE(results[n].ok()) << label;
+                MachineParams at = m;
+                at.memoryTime = lanes[n].memoryTime;
+                CcSimulator scalar(at, scheme);
+                scalar.setEngine(SimEngine::Scalar);
+                const SimResult want = scalar.run(trace);
+                EXPECT_EQ(results[n].value().totalCycles,
+                          want.totalCycles)
+                    << label;
+                EXPECT_EQ(results[n].value().stallCycles,
+                          want.stallCycles)
+                    << label;
+            }
+        }
+        EXPECT_GT(solo.coldOps, 0u) << name;
+        EXPECT_GT(solo.exactMaskGangs, 0u) << name;
+        EXPECT_GT(gang.coldOps, 0u) << name;
+        EXPECT_GT(gang.exactMaskGangs, 0u) << name;
     }
 }
 

@@ -6,13 +6,17 @@
  * lengths straddling the 64-element strip edges, every op repeated
  * one to four times, and strides that are powers of two, multiples of
  * a 128-word cache (and so of every power-of-two bank count up to
- * 128), odd, zero and negative.
+ * 128), odd, zero and negative.  About one op in four is a cold pass
+ * candidate: a single stream over a fresh region past every line
+ * touched so far, so the CC walker's closed-form cold pass takes it
+ * (unless its stride is zero or below the line size).
  */
 
 #ifndef VCACHE_TESTS_SIM_FUZZ_TRACE_HH
 #define VCACHE_TESTS_SIM_FUZZ_TRACE_HH
 
 #include <cstdint>
+#include <cstdlib>
 
 #include "trace/access.hh"
 #include "util/rng.hh"
@@ -69,12 +73,33 @@ fuzzTrace(std::uint64_t seed)
     Rng rng(seed);
     Trace trace;
     const std::uint64_t ops = 24 + rng.next() % 16;
+    // Fresh regions start above everything the shared bases reach
+    // (3 << 20, plus at most 317 elements of a stride up to 384
+    // words).
+    Addr frontier = Addr{4} << 20;
     for (std::uint64_t n = 0; n < ops; ++n) {
         // Lengths straddle the 64-element strip edges.
         static constexpr std::uint64_t kLengths[] = {1,  7,   63,  64,
                                                      65, 128, 200, 300};
         VectorOp op;
         op.first = randomRef(rng, kLengths[rng.next() % 8]);
+        if (rng.bernoulli(0.25)) {
+            // A cold pass candidate: the whole run lies past the
+            // frontier, whichever way it walks.
+            VectorRef &ref = op.first;
+            const std::uint64_t span =
+                static_cast<std::uint64_t>(std::abs(ref.stride)) *
+                (ref.length - 1);
+            ref.base = frontier + rng.next() % 64 +
+                       (ref.stride < 0 ? span : 0);
+            frontier += span + 128;
+            if (rng.bernoulli(0.3))
+                op.store = randomRef(rng, ref.length);
+            const std::uint64_t repeats = 1 + rng.next() % 2;
+            for (std::uint64_t r = 0; r < repeats; ++r)
+                trace.push_back(op);
+            continue;
+        }
         if (rng.bernoulli(0.4)) {
             const std::uint64_t len = op.first.length;
             const std::uint64_t second =
