@@ -44,22 +44,6 @@ enum class AccessType
 };
 
 /**
- * Closed-form outcome of re-probing a whole constant-stride run whose
- * end state the cache already holds (see probeSteadyRun on the direct
- * and prime mappings).  `warmLo`/`warmHi` give the half-open interval
- * of element offsets whose frame still holds exactly that element's
- * address, so those elements hit and a strip whose head offset lies
- * in [warmLo, warmHi) starts warm (the Equation-4 start-up credit).
- */
-struct SteadyRunProbe
-{
-    std::uint64_t hits = 0;
-    std::uint64_t misses = 0;
-    std::uint64_t warmLo = 0;
-    std::uint64_t warmHi = 0;
-};
-
-/**
  * Period of the frame-index sequence of a stride-`stride` run on a
  * modulo-`frames` mapping: (base + i*stride) mod frames repeats every
  * frames / gcd(|stride| mod frames, frames) elements -- the paper's
@@ -70,35 +54,6 @@ inline std::uint64_t
 steadyRunPeriod(std::uint64_t frames, std::int64_t stride)
 {
     return frames / gcd(floorMod(stride, frames), frames);
-}
-
-/**
- * Steady-state replay of a constant-stride run on a modulo-`frames`
- * direct-style mapping, in closed form.
- *
- * Precondition: the cache already holds the run's *canonical end
- * state* -- every touched frame holds the last (highest-index)
- * element of its residue class, which is what any complete
- * element-wise pass over the run leaves behind, whatever the prior
- * contents.  Replaying the run from that state, element i (< length)
- * hits exactly when its frame still holds element i itself: i must be
- * in the last period (i >= length - P, nothing overwrote it since)
- * and in the first (i < P, no earlier element of this pass overwrote
- * it).  Addresses must be distinct and non-wrapping for that argument
- * (callers check spansWithoutWrap()); stride == 0 is the one-address
- * special case where everything hits.
- */
-inline SteadyRunProbe
-steadyRunProbe(std::uint64_t frames, std::int64_t stride,
-               std::uint64_t length)
-{
-    if (stride == 0)
-        return {length, 0, 0, length};
-    const std::uint64_t period = steadyRunPeriod(frames, stride);
-    const std::uint64_t lo = length > period ? length - period : 0;
-    const std::uint64_t hi = period < length ? period : length;
-    const std::uint64_t hits = hi > lo ? hi - lo : 0;
-    return {hits, length - hits, lo, hi};
 }
 
 /** Result of one cache access. */

@@ -49,54 +49,6 @@ MappedCache<Map>::reset()
 
 template <simd::IndexMap Map>
 bool
-MappedCache<Map>::verifySteadyRun(Addr base, std::int64_t stride,
-                                  std::uint64_t length) const
-    requires(Map != simd::IndexMap::XorFold)
-{
-    if (length == 0)
-        return true;
-    // The period/distinctness arguments need one word per line and a
-    // non-wrapping progression (mod-(2^c - 1) periodicity only holds
-    // for the true integer progression).
-    if (layout_.offsetBits() != 0 ||
-        !spansWithoutWrap(base, stride, length))
-        return false;
-    const std::uint64_t frames = tags_.size();
-    const std::uint64_t period = steadyRunPeriod(frames, stride);
-    const std::uint64_t distinct = period < length ? period : length;
-    // Residue class r's last element -- the line its frame must hold
-    // after any complete pass -- is r + q*period for r <= rem and
-    // r + (q - 1)*period above, from one quotient and remainder.  The
-    // frame of r is frame(base) + r*stride mod frames either way
-    // (stride*period is a multiple of frames), so it steps by
-    // stride mod frames with no per-class division.
-    const std::uint64_t q = (length - 1) / period;
-    const std::uint64_t rem = (length - 1) % period;
-    const std::uint64_t step = static_cast<std::uint64_t>(stride);
-    const std::uint64_t frame_step = floorMod(stride, frames);
-    // Classes below this have two or more distinct addresses, so
-    // their frames get refilled on replay; a flag bit there would
-    // mean a writeback or a flag change, breaking the fixed point.
-    const std::uint64_t refilled =
-        stride != 0 && length > period ? length - period : 0;
-    Addr addr = base + step * (q * period);
-    std::uint64_t f = frameOf(base);
-    for (std::uint64_t r = 0; r < distinct; ++r) {
-        if (r == rem + 1)
-            addr -= step * period; // past rem: one period earlier
-        if (!tags_.resident(f, addr) ||
-            (r < refilled && tags_.flags(f) != 0))
-            return false;
-        addr += step;
-        f += frame_step;
-        if (f >= frames)
-            f -= frames;
-    }
-    return true;
-}
-
-template <simd::IndexMap Map>
-bool
 MappedCache<Map>::fillMissingRun(Addr base, std::int64_t stride,
                                  std::uint64_t length)
     requires(Map != simd::IndexMap::XorFold)

@@ -28,8 +28,9 @@
  * Tag state lives in a structure-of-arrays TagArray, and
  * probeHitMask()/probeStrideHitMask() run the dispatched SIMD gang
  * probe over it with the map's own frame kernel.  The class is
- * `final` and defines its probe inline so the templated simulator hot
- * loops bind it statically (no virtual dispatch per element).
+ * `final` and defines its probe inline, always inlined, so the
+ * templated simulator hot loops bind it statically (no virtual
+ * dispatch, and no call, per element).
  */
 
 #ifndef VCACHE_CACHE_MAPPED_HH
@@ -56,7 +57,7 @@ class MappedCache final : public Cache
      */
     explicit MappedCache(const AddressLayout &layout);
 
-    AccessOutcome
+    VCACHE_ALWAYS_INLINE AccessOutcome
     lookupAndFill(Addr line_addr) override
     {
         const std::uint64_t f = frameOf(line_addr);
@@ -69,7 +70,7 @@ class MappedCache final : public Cache
         return outcome;
     }
 
-    bool
+    VCACHE_ALWAYS_INLINE bool
     containsLine(Addr line_addr) const override
     {
         return tags_.resident(frameOf(line_addr), line_addr);
@@ -154,36 +155,18 @@ class MappedCache final : public Cache
     }
 
     /**
-     * Closed-form steady-state replay of a run (see cache.hh).  Only
-     * the residue maps have one: XOR folding is not periodic in the
-     * stride.
+     * True while any frame carries a flag bit (a dirty line from a
+     * restored live point, a prefetched line): state the CC walker's
+     * closed forms do not model, so they refuse.  O(1).
      */
-    SteadyRunProbe
-    probeSteadyRun(std::int64_t stride, std::uint64_t length) const
-        requires(Map != simd::IndexMap::XorFold)
-    {
-        return steadyRunProbe(tags_.size(), stride, length);
-    }
-
-    /**
-     * True when the cache provably holds the run's canonical end
-     * state *and* replaying the run is an exact fixed point: every
-     * touched frame holds the last element of its residue class, and
-     * the frames the replay would refill carry no flag bits (so no
-     * writeback and no flag change can occur).  One O(min(length,
-     * period)) walk over the distinct frames; the batched simulator
-     * calls it once per run identity before trusting
-     * probeSteadyRun().
-     */
-    bool verifySteadyRun(Addr base, std::int64_t stride,
-                         std::uint64_t length) const
-        requires(Map != simd::IndexMap::XorFold);
+    bool anyFlagged() const { return tags_.anyFlagged(); }
 
     /**
      * Fill every line of a run that the caller proved non-resident
      * (the CC walker's cold pass), exactly as `length` missing reads
      * would, with the stats of those reads.  The frame steps by stride
-     * mod frames, as in verifySteadyRun().  Requires one-word lines and
+     * mod frames: the frame sequence of a non-wrapping run on a residue
+     * map is periodic (steadyRunPeriod()).  Requires one-word lines and
      * a non-wrapping run.
      *
      * @return false when some line was resident after all (the fill

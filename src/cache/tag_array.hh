@@ -105,13 +105,17 @@ class TagArray
 
     void orFlags(std::uint64_t f, std::uint8_t flag)
     {
+        flagged_ -= flags(f) != 0;
         meta_[f] |= static_cast<std::uint8_t>(flag & kFlagMask);
+        flagged_ += flags(f) != 0;
     }
 
     void
     clearFlags(std::uint64_t f, std::uint8_t flag)
     {
+        flagged_ -= flags(f) != 0;
         meta_[f] &= static_cast<std::uint8_t>(~(flag & kFlagMask));
+        flagged_ += flags(f) != 0;
     }
 
     /** Fill frame f with `line`, clearing its flags. */
@@ -121,6 +125,8 @@ class TagArray
         if (valid(f)) {
             if (tags_[f] == kEmptyTag)
                 --sentinel_resident_;
+            if (flags(f) != 0)
+                --flagged_;
         } else {
             ++valid_count_;
         }
@@ -137,9 +143,13 @@ class TagArray
         meta_.assign(meta_.size(), 0);
         valid_count_ = 0;
         sentinel_resident_ = 0;
+        flagged_ = 0;
     }
 
     std::uint64_t validCount() const { return valid_count_; }
+
+    /** True while any frame carries a flag bit. */
+    bool anyFlagged() const { return flagged_ != 0; }
 
     /**
      * True while any frame holds a *real* resident line equal to the
@@ -170,6 +180,8 @@ class TagArray
     std::vector<std::uint8_t> meta_;
     std::uint64_t valid_count_ = 0;
     std::uint64_t sentinel_resident_ = 0;
+    /** Frames with a flag bit set. */
+    std::uint64_t flagged_ = 0;
 };
 
 } // namespace vcache

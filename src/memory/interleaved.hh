@@ -55,8 +55,8 @@ class InterleavedMemory
     InterleavedMemory(unsigned bank_bits, Cycles busy_time,
                       BankMapping mapping = BankMapping::LowOrder);
 
-    /** Bank holding word address w. */
-    std::uint64_t
+    /** Bank holding word address w (inlined into the CC miss path). */
+    VCACHE_ALWAYS_INLINE std::uint64_t
     bankOf(Addr word_addr) const
     {
         switch (mapping) {

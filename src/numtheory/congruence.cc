@@ -40,6 +40,94 @@ solveLinearCongruence(std::uint64_t a, std::uint64_t b, std::uint64_t m)
     return xs;
 }
 
+namespace
+{
+
+using U128 = unsigned __int128;
+
+/** A run as an ascending lattice: lo, lo + step, ..., hi. */
+struct Ascending
+{
+    U128 lo;
+    U128 step;
+    U128 hi;
+};
+
+Ascending
+ascending(std::uint64_t base, std::int64_t stride, std::uint64_t length)
+{
+    if (stride == 0 || length == 1)
+        return {base, 1, base};
+    const std::uint64_t step =
+        stride < 0 ? 0 - static_cast<std::uint64_t>(stride)
+                   : static_cast<std::uint64_t>(stride);
+    const U128 span = U128{step} * (length - 1);
+    if (stride > 0)
+        return {base, step, base + span};
+    return {base - span, step, base};
+}
+
+/** x with a*x == 1 (mod m), for gcd(a, m) == 1 and m >= 2. */
+U128
+inverseMod(U128 a, U128 m)
+{
+    // Extended Euclid on the remainders, tracking only a's
+    // coefficient; the coefficients stay below m in magnitude.
+    __int128 r0 = static_cast<__int128>(m);
+    __int128 r1 = static_cast<__int128>(a % m);
+    __int128 x0 = 0;
+    __int128 x1 = 1;
+    while (r1 != 0) {
+        const __int128 q = r0 / r1;
+        const __int128 r = r0 - q * r1;
+        r0 = r1;
+        r1 = r;
+        const __int128 x = x0 - q * x1;
+        x0 = x1;
+        x1 = x;
+    }
+    const __int128 sm = static_cast<__int128>(m);
+    return static_cast<U128>(((x0 % sm) + sm) % sm);
+}
+
+} // namespace
+
+bool
+progressionsMeet(std::uint64_t a, std::int64_t s, std::uint64_t n,
+                 std::uint64_t b, std::int64_t t, std::uint64_t m)
+{
+    if (n == 0 || m == 0)
+        return false;
+    const Ascending p = ascending(a, s, n);
+    const Ascending q = ascending(b, t, m);
+    const U128 lo = p.lo > q.lo ? p.lo : q.lo;
+    const U128 hi = p.hi < q.hi ? p.hi : q.hi;
+    if (lo > hi)
+        return false;
+    // x = p.lo + p.step*u with p.step*u == q.lo - p.lo (mod q.step).
+    const U128 g = gcd(static_cast<std::uint64_t>(p.step),
+                       static_cast<std::uint64_t>(q.step));
+    const bool forward = q.lo >= p.lo;
+    const U128 dist = forward ? q.lo - p.lo : p.lo - q.lo;
+    if (dist % g != 0)
+        return false;
+    const U128 mod = q.step / g;
+    U128 u = 0;
+    if (mod > 1) {
+        U128 rhs = (dist / g) % mod;
+        if (!forward && rhs != 0)
+            rhs = mod - rhs;
+        u = rhs * inverseMod(p.step / g % mod, mod) % mod;
+    }
+    // Steps are at most 2^63, so x0 and the period stay below 2^127.
+    const U128 x0 = p.lo + p.step * u;
+    const U128 period = p.step * mod;
+    const U128 first =
+        x0 >= lo ? lo + (x0 - lo) % period
+                 : lo + (period - (lo - x0) % period) % period;
+    return first <= hi;
+}
+
 std::uint64_t
 crossConflictStalls(const CrossConflictQuery &q)
 {

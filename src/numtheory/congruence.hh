@@ -29,6 +29,19 @@ std::vector<std::uint64_t> solveLinearCongruence(std::uint64_t a,
                                                  std::uint64_t b,
                                                  std::uint64_t m);
 
+/**
+ * Whether the runs a + i*s (0 <= i < n) and b + k*t (0 <= k < m) share
+ * a value, taking both as exact integers: the caller has checked that
+ * neither wraps mod 2^64 (spansWithoutWrap()).  Strides may be zero or
+ * negative.  A common value x solves x == a (mod |s|) and x == b (mod
+ * |t|), so it exists iff gcd(|s|, |t|) divides b - a; the solutions
+ * then form one class mod lcm(|s|, |t|), found with a modular inverse,
+ * and the runs meet iff that class has a member in the overlap of
+ * their extents.  O(log) time, no enumeration.
+ */
+bool progressionsMeet(std::uint64_t a, std::int64_t s, std::uint64_t n,
+                      std::uint64_t b, std::int64_t t, std::uint64_t m);
+
 /** Parameters of one cross-interference evaluation. */
 struct CrossConflictQuery
 {

@@ -43,7 +43,7 @@
  * The functional state -- the cache, with its replacement state, and
  * the first-touch set that classifies compulsory misses -- never reads
  * a clock, so one walk serves every lane.  On top of the element loop
- * the walker has three fast paths, all exact, which run together or
+ * the walker has four fast paths, all exact, which run together or
  * not at all (CcWalkOptions::fastPaths): SimEngine::Auto, gang lanes
  * and the sampling warmer take them; SimEngine::Scalar takes none, so
  * its element loop is the one reference every fast path is pinned
@@ -59,7 +59,42 @@
  *     times each lane with the MM machine's closed form,
  *     InterleavedMemory::issueStripRun(), under its one eligibility
  *     predicate, canIssueStripRun() (residue bank mapping, no armed
- *     fault plan, strip start-up + 1 >= t_m).
+ *     fault plan, strip start-up + 1 >= t_m).  A double-stream op
+ *     whose first stream is provably cold the same way has a cold
+ *     single-stream tail (its strips past the second stream) when the
+ *     second stream's lines do not meet the tail's (progressionsMeet:
+ *     a gcd and a modular inverse): the head is walked, the tail
+ *     takes the cold-pass body (direct and prime caches).
+ *   - Canonical state (direct and prime caches, one-word lines, no
+ *     wrap): the frame sequence of a run X (base b, stride s, length
+ *     L) has period P = steadyRunPeriod(frames, s), so element i
+ *     shares its frame exactly with the elements i' == i (mod P).
+ *     Any complete pass of X leaves each class's frame holding the
+ *     class's last line: X's canonical indices [L - min(P, L), L).
+ *     After a pass the walker keeps X, P and a candidate list: the
+ *     canonical indices whose line may have been evicted since.  A
+ *     complete single-stream pass leaves none; the head of a
+ *     double-stream op whose tail the walker answers next logs the
+ *     lines its reads evict that are canonical to X, by a range check
+ *     and an exact divisibility test (LineLattice); any other pass
+ *     with a second stream ends the tracking (see stripLoop()).  From
+ *     that state,
+ *     elements [h, L) of X hit on the window [max(h, L - P),
+ *     min(L, h + P)) -- a class's first visit hits iff it is the
+ *     class's last element -- and every other element is a blocking
+ *     miss, since X's lines were all touched.  Each candidate j >= h
+ *     corrects its class: the first visit i = j - floor((j - h) / P)
+ *     * P hits iff its frame holds line(i), and the class ends
+ *     holding line(j).  (A second stream that read a non-canonical
+ *     line of X makes that visit hit.)  A strip starts warm iff its
+ *     head element hits, and every miss evicts.  With h = 0 this
+ *     answers a repeat of X, or a re-walk of X after a double-stream
+ *     op; with h = the first single-stream strip it answers the tail
+ *     of a double-stream op whose first stream is X, after the head
+ *     is walked.  It refuses while any frame carries a flag (a
+ *     restored live point) and, under non-blocking misses, whenever a
+ *     miss could occur.  Stride 0 (one line, all hits but a
+ *     candidate's first visit) is the one special case.
  *   - Gang probe: on a cache whose read hits are inert, a strip is
  *     probed a gang of lines at a time through the dispatched SIMD
  *     kernels (32 elements, or 16 per stream when double-stream).  An
@@ -72,24 +107,15 @@
  *     a miss drops to the element loop, which replays it in issue
  *     order from unchanged state.  A gang whose head misses is not
  *     probed.
- *   - Run memo: vector workloads repeat one constant-stride op, and
- *     after a pass or two the cache settles into the op's fixed
- *     point.  The memo keeps the last op and certifies a repeat
- *     through one of two tiers; a Verified op then replays its event
- *     counts in O(1):
- *       - tier 1 (direct and prime mappings, single stream): the
- *         modulo mapping makes the frame sequence periodic, so
- *         probeSteadyRun() gives the pass's hits and warm-strip
- *         interval in closed form and verifySteadyRun() checks, in
- *         O(distinct frames), that the cache holds the canonical
- *         state the formula assumes;
- *       - tier 2 (any organization): appendRunState() snapshots
- *         everything the op can consult or mutate around an
- *         element-wise pass; equal snapshots and no clock-coupled
- *         event prove the pass a fixed point, so its counts replay
- *         (a solo walk tries it from the op's third walk on).
- *     Three failed attempts refuse the op until a different op
- *     intervenes.
+ *   - Run memo (any organization): the memo keeps the last op, and
+ *     appendRunState() snapshots everything a repeat can consult or
+ *     mutate around an element-wise pass; equal snapshots and no
+ *     clock-coupled event prove the pass a fixed point, so its event
+ *     counts replay in O(1) (a solo walk tries it from the op's third
+ *     walk on).  Three failed attempts refuse the op until a
+ *     different op intervenes.  The canonical closed form answers
+ *     single-stream repeats first, so the memo mostly serves
+ *     double-stream repeats and the organizations without one.
  *
  * Lane counts: Zero is sampling's functional warming (it records the
  * first-touch order instead), One is CcSimulator, Many is
@@ -114,6 +140,7 @@
 #include "cache/prefetch.hh"
 #include "memory/bus.hh"
 #include "memory/interleaved.hh"
+#include "numtheory/congruence.hh"
 #include "sim/cancel.hh"
 #include "sim/observe.hh"
 #include "sim/result.hh"
@@ -175,9 +202,10 @@ struct CcLane
 
     /**
      * Absorb a run of countable events.  Single events come through
-     * here too: their zero terms fold away once inlined.
+     * here too: their zero terms fold away once inlined, so it is
+     * always inlined.
      */
-    void
+    VCACHE_ALWAYS_INLINE void
     add(const CcEvents &e)
     {
         clock += e.ops * blockOverhead + e.coldStrips * coldStrip +
@@ -219,6 +247,57 @@ struct CcLane
 };
 
 /**
+ * The lines lo + j*step (0 <= j*step <= span, step > 0), with an
+ * index test that needs no division: d = line - lo must be in range,
+ * a multiple of 2^shift, and then d >> shift a multiple of the odd
+ * part m, which holds iff (d >> shift) * m^-1 (mod 2^64) <= (2^64 -
+ * 1) / m -- and the product is then the quotient j.
+ */
+struct LineLattice
+{
+    static constexpr std::uint64_t kNone = ~std::uint64_t{0};
+
+    Addr lo = 0;
+    std::uint64_t span = 0;
+    unsigned shift = 0;
+    std::uint64_t inverse = 1;
+    std::uint64_t limit = ~std::uint64_t{0};
+
+    /** first + j*step for j < count (step ignored when count <= 1). */
+    static LineLattice
+    of(Addr first, std::uint64_t step, std::uint64_t count)
+    {
+        LineLattice l;
+        l.lo = first;
+        if (count <= 1 || step == 0)
+            return l;
+        l.span = step * (count - 1);
+        l.shift = static_cast<unsigned>(std::countr_zero(step));
+        const std::uint64_t odd = step >> l.shift;
+        // odd * inverse == 1 (mod 2^64), by Newton's iteration: each
+        // step doubles the correct low bits, from 3 at the start.
+        l.inverse = odd;
+        for (int k = 0; k < 5; ++k)
+            l.inverse *= 2 - odd * l.inverse;
+        l.limit = ~std::uint64_t{0} / odd;
+        return l;
+    }
+
+    /** j with line == lo + j*step, or kNone. */
+    std::uint64_t
+    indexOf(Addr line) const
+    {
+        // Branch-free: the eviction log calls it on every eviction.
+        const std::uint64_t d = line - lo;
+        const std::uint64_t j = (d >> shift) * inverse;
+        const bool in = (d <= span) &
+                        ((d & ((std::uint64_t{1} << shift) - 1)) == 0) &
+                        (j <= limit);
+        return in ? j : kNone;
+    }
+};
+
+/**
  * The first-touch set that classifies compulsory misses: every line
  * ever brought in, plus the extent [lo, hi] of those lines, widened at
  * every insert (a demand miss, a timed prefetch, a live-point seed).
@@ -227,10 +306,9 @@ struct CcLane
  *
  * Lines come in one by one, into a FlatSet, or as a whole cold run: a
  * constant-stride progression none of whose lines was in the set.  A
- * few such runs are kept as run records instead of hashed line by
- * line, so a cold pass costs no hash insert per element; membership
- * in a record is a range check and an exact divisibility test by
- * multiplication.
+ * few such runs are kept as run records (LineLattice) instead of
+ * hashed line by line, so a cold pass costs no hash insert per
+ * element.
  */
 class FirstTouchSet
 {
@@ -239,8 +317,8 @@ class FirstTouchSet
     bool
     insert(Addr line)
     {
-        for (const Run &r : runs)
-            if (r.holds(line))
+        for (const LineLattice &r : runs)
+            if (r.indexOf(line) != LineLattice::kNone)
                 return false;
         lo = std::min(lo, line);
         hi = std::max(hi, line);
@@ -260,17 +338,7 @@ class FirstTouchSet
                 insert(first + step * i);
             return;
         }
-        Run r;
-        r.lo = first;
-        r.span = step * (count - 1);
-        r.shift = static_cast<unsigned>(std::countr_zero(step));
-        const std::uint64_t odd = step >> r.shift;
-        // odd * inverse == 1 (mod 2^64), by Newton's iteration: each
-        // step doubles the correct low bits, from 3 at the start.
-        r.inverse = odd;
-        for (int k = 0; k < 5; ++k)
-            r.inverse *= 2 - odd * r.inverse;
-        r.limit = ~std::uint64_t{0} / odd;
+        const LineLattice r = LineLattice::of(first, step, count);
         runs.push_back(r);
         lo = std::min(lo, first);
         hi = std::max(hi, first + r.span);
@@ -299,31 +367,8 @@ class FirstTouchSet
     /** Run records kept before runs go in line by line. */
     static constexpr std::size_t kMaxRuns = 4;
 
-    /**
-     * The lines lo + j * (odd << shift), j*(odd << shift) <= span.
-     * d is a multiple of an odd m iff d * m^-1 (mod 2^64) <= (2^64 -
-     * 1) / m.
-     */
-    struct Run
-    {
-        Addr lo = 0;
-        std::uint64_t span = 0;
-        unsigned shift = 0;
-        std::uint64_t inverse = 1;
-        std::uint64_t limit = 0;
-
-        bool
-        holds(Addr line) const
-        {
-            const std::uint64_t d = line - lo;
-            return d <= span &&
-                   (d & ((std::uint64_t{1} << shift) - 1)) == 0 &&
-                   (d >> shift) * inverse <= limit;
-        }
-    };
-
     FlatSet<Addr> lines;
-    std::vector<Run> runs;
+    std::vector<LineLattice> runs;
     /** The extent; empty as [~0, 0]. */
     Addr lo = ~Addr{0};
     Addr hi = 0;
@@ -360,9 +405,9 @@ struct CcWalkOptions
     /** Elements per strip (the machine's MVL). */
     std::uint64_t mvl = 64;
     /**
-     * Gang-probe strips (on caches whose read hits are inert) and
-     * fast-forward repeated ops through the run memo.  Off is
-     * SimEngine::Scalar: the element loop alone, the oracle.
+     * Take the fast paths of the file comment (closed forms, gang
+     * probe, run memo).  Off is SimEngine::Scalar: the element loop
+     * alone, the oracle.
      */
     bool fastPaths = true;
     /** Non-compulsory misses are clock-coupled, not blocking. */
@@ -440,14 +485,20 @@ class CcWalker
                 solo->streamStride = op.first.stride;
             if constexpr (Observer::kEnabled)
                 obs.onVectorOpBegin(lanes[0].clock, op);
-            stripLoop(op);
+            stripLoop<false>(op, op.first.length);
             ++paths.elementWiseOps;
             if constexpr (Observer::kEnabled)
                 obs.onVectorOpEnd(lanes[0].clock);
         } else {
             if (!opts.fastPaths) {
-                stripLoop(op);
+                stripLoop<false>(op, op.first.length);
                 ++paths.elementWiseOps;
+                return;
+            }
+            if (!op.second && canonicalPass(op.first)) {
+                // The memo's op no longer holds the state it saw.
+                memo.phase = Phase::None;
+                ++paths.canonicalOps;
                 return;
             }
             const bool repeat =
@@ -460,13 +511,13 @@ class CcWalker
                 if (coldPass(op)) {
                     ++paths.coldOps;
                 } else {
-                    stripLoop(op);
+                    walk(op);
                     ++paths.elementWiseOps;
                 }
             } else if (memo.phase == Phase::Verified) {
                 replay();
             } else if (memo.phase == Phase::Refused) {
-                stripLoop(op);
+                walk(op);
                 ++paths.refusedOps;
             } else if (certify(op)) {
                 replay();
@@ -499,7 +550,10 @@ class CcWalker
     SimResult counts;
     /** Which path answered each op. */
     CcPathCounts paths;
-    /** Elements of the ops walked rather than replayed from the memo. */
+    /**
+     * Elements walked or filled cold, rather than answered by the
+     * canonical closed form or replayed from the memo.
+     */
     std::uint64_t walkedElements = 0;
     /** Zero lanes: when set, receives each line at its first touch. */
     std::vector<Addr> *firstTouchOrder = nullptr;
@@ -530,7 +584,7 @@ class CcWalker
 
     /**
      * The last op, its certification phase, and -- once Verified --
-     * the per-pass deltas to replay.  `before`/`after` are the tier-2
+     * the per-pass deltas to replay.  `before`/`after` are the
      * snapshot buffers, kept so repeated attempts reuse capacity.
      */
     struct Memo
@@ -540,14 +594,31 @@ class CcWalker
         unsigned attempts = 0;
         /** A repeat of the op has been walked since it was armed. */
         bool repeated = false;
-        /** Verified by tier 1 (else tier 2). */
-        bool tier1 = false;
         CcEvents events;
         /** results, hits and misses per pass. */
         SimResult counts;
         CacheStats stats;
         std::vector<std::uint64_t> before;
         std::vector<std::uint64_t> after;
+    };
+
+    /**
+     * Canonical-state tracking (see the file comment): the run X the
+     * walker last completed a pass of, and the canonical indices whose
+     * line may have been evicted since (duplicates are harmless).
+     */
+    struct Canonical
+    {
+        bool held = false;
+        VectorRef run;
+        std::uint64_t period = 0;
+        /** The first canonical index, L - min(P, L). */
+        std::uint64_t first = 0;
+        /** The canonical lines, lowest first. */
+        LineLattice window;
+        /** The candidates are candidates[0, logged). */
+        std::vector<std::uint64_t> candidates;
+        std::size_t logged = 0;
     };
 
     /** Where countable events go (see CcEvents). */
@@ -563,7 +634,7 @@ class CcWalker
     void
     replay()
     {
-        ++(memo.tier1 ? paths.tier1Ops : paths.tier2Ops);
+        ++paths.memoOps;
         // Nothing reads a zero-lane walk's counters or cache stats.
         if constexpr (Lanes == LaneCount::Zero)
             return;
@@ -575,26 +646,21 @@ class CcWalker
     }
 
     /**
-     * Certify an Armed repeat, tier 1 then tier 2.  Tier 1 does not
-     * walk the op (the caller replays it); tier 2's measurement pass
-     * walks it.  A solo walk holds tier 2 back until the op's third
-     * walk: its two snapshots cost about a pass, which an op seen
-     * only twice in a row never repays, and a solo run may be one of
-     * sampling's measurement windows, often just two ops.  (The
-     * warmer and gang lanes walk whole traces.)
+     * Certify an Armed repeat by its measurement pass.  A solo walk
+     * holds the snapshots back until the op's third walk: they cost
+     * about a pass, which an op seen only twice in a row never repays,
+     * and a solo run may be one of sampling's measurement windows,
+     * often just two ops.  (The warmer and gang lanes walk whole
+     * traces.)
      *
      * @return true when the op still needs replay()
      */
     bool
     certify(const VectorOp &op)
     {
-        if constexpr (kSteadyMapped) {
-            if (!op.second && steadyCertificate(op))
-                return true;
-        }
         if (Lanes == LaneCount::One && !memo.repeated) {
             memo.repeated = true;
-            stripLoop(op);
+            walk(op);
             return false;
         }
 
@@ -605,7 +671,7 @@ class CcWalker
         const std::uint64_t cold0 = coldStrips;
         const std::uint64_t warm0 = warmStrips;
         const CacheStats s0 = cache.stats();
-        stripLoop(op);
+        walk(op);
         state_ok = state_ok && appendOpState(cache, op, memo.after) &&
                    memo.before == memo.after;
         const std::uint64_t d_misses = counts.misses - c0.misses;
@@ -634,93 +700,273 @@ class CcWalker
             memo.stats.evictions = s1.evictions - s0.evictions;
             memo.stats.writebacks = s1.writebacks - s0.writebacks;
             memo.phase = Phase::Verified;
-            memo.tier1 = false;
         } else if (++memo.attempts >= kVerifyAttempts) {
             memo.phase = Phase::Refused;
         }
         return false;
     }
 
-    /** Tier 1: the closed-form counts of a steady single-stream pass. */
-    bool
-    steadyCertificate(const VectorOp &op)
+    /** Strip heads (multiples of the MVL) in [0, n). */
+    std::uint64_t
+    stripHeads(std::uint64_t n) const
     {
-        const VectorRef &ref = op.first;
-        const SteadyRunProbe probe =
-            cache.probeSteadyRun(ref.stride, ref.length);
-        // Non-blocking misses are clock-coupled; only blocking ones
-        // extrapolate.
-        if (probe.misses != 0 && opts.nonBlocking)
-            return false;
-        if (!cache.verifySteadyRun(ref.base, ref.stride, ref.length))
-            return false;
-
-        // Elements in [warmLo, warmHi) hit and the rest take the
-        // blocking stall; a strip starts warm iff its head offset (a
-        // multiple of the MVL) lies in that interval, exactly as
-        // containsWord() would answer at that point of the walk.
-        const std::uint64_t mvl = opts.mvl;
-        const auto heads = [mvl](std::uint64_t n) {
-            return (n + mvl - 1) / mvl; // strip heads in [0, n)
-        };
-        const std::uint64_t hi = std::min(probe.warmHi, ref.length);
-        const std::uint64_t lo = std::min(probe.warmLo, hi);
-        const std::uint64_t hits = hi - lo;
-        const std::uint64_t warm = heads(hi) - heads(lo);
-        memo.events = CcEvents{};
-        memo.events.coldStrips = heads(ref.length) - warm;
-        memo.events.warmStrips = warm;
-        memo.events.hits = hits;
-        memo.events.blocking = ref.length - hits;
-        memo.counts = SimResult{};
-        memo.counts.results = ref.length;
-        memo.counts.hits = hits;
-        memo.counts.misses = ref.length - hits;
-        // Every steady-pass miss displaces a valid line (the class's
-        // previous occupant) whose flags verifySteadyRun() proved
-        // clear: evictions match misses, write-backs stay zero.
-        memo.stats = CacheStats{};
-        memo.stats.accesses = ref.length;
-        memo.stats.reads = ref.length;
-        memo.stats.hits = probe.hits;
-        memo.stats.misses = probe.misses;
-        memo.stats.evictions = probe.misses;
-        memo.phase = Phase::Verified;
-        memo.tier1 = true;
-        return true;
+        return (n + opts.mvl - 1) / opts.mvl;
     }
 
     /**
-     * The closed-form cold pass (see the file comment).  Each element
-     * of a single-stream op with a non-zero stride of at least a line,
-     * no address wrap, and a line extent disjoint from the first-touch
-     * set's, reads a line never touched before: a compulsory miss.
-     * Every resident line the walk can read is in the first-touch set
-     * (a live-point seeds the lines its window can re-read), so each
-     * read also misses the cache.  Every strip then starts cold and
-     * every element issues at its bank as in an MM strip, so the
-     * functional work is one fill loop and each live lane's timing is
-     * InterleavedMemory::issueStripRun().
-     *
-     * @return false, having done nothing, when the op does not qualify
+     * Walk an op element by element, except for a single-stream tail
+     * the walker can answer in closed form (cold, or from its first
+     * stream's canonical state), and track its first stream.
+     */
+    void
+    walk(const VectorOp &op)
+    {
+        if constexpr (kSteadyMapped) {
+            // Strips from h on are past the second stream.
+            const std::uint64_t h =
+                op.second ? stripHeads(op.second->length) * opts.mvl : 0;
+            if (op.second && h < op.first.length) {
+                if (coldTail(op, h))
+                    return;
+                if (holds(op.first) && canonicalFits(h)) {
+                    stripLoop<true>(op, h, canon.first > 0);
+                    canonicalFrom(h);
+                    ++paths.closedTails;
+                    return;
+                }
+            }
+            // A complete single-stream pass leaves its run canonical
+            // with no candidate; a complete pass with a second stream
+            // logs nothing (see stripLoop()), so it leaves no state.
+            if (op.second)
+                canon.held = false;
+            else
+                track(op.first);
+        }
+        stripLoop<false>(op, op.first.length);
+    }
+
+    /**
+     * Start tracking `ref`, with no candidates, ahead of a complete
+     * pass of it; stop tracking when it does not qualify.
+     */
+    void
+    track(const VectorRef &ref)
+    {
+        canon.held = false;
+        canon.logged = 0;
+        if (cache.addressLayout().offsetBits() != 0 || ref.length == 0 ||
+            !spansWithoutWrap(ref.base, ref.stride, ref.length))
+            return;
+        const std::uint64_t period =
+            steadyRunPeriod(cache.numLines(), ref.stride);
+        const std::uint64_t count = std::min(period, ref.length);
+        canon.held = true;
+        canon.run = ref;
+        canon.period = period;
+        canon.first = ref.length - count;
+        canon.window = LineLattice::of(
+            ref.element(ref.stride < 0 ? ref.length - 1 : canon.first),
+            magnitude(ref.stride), count);
+    }
+
+    /** True when the walker holds `ref`'s canonical state. */
+    bool
+    holds(const VectorRef &ref) const
+    {
+        return canon.held && canon.run == ref;
+    }
+
+    /**
+     * The eviction log of one strip loop (see stripLoop()), in locals
+     * so the hot loop keeps it in registers: the tag array's byte-wide
+     * stores may alias any member.  Evicted lines alternate between
+     * the run's and others', so the append is branch-free: the slot is
+     * written either way and kept only for a canonical line.
+     */
+    struct EvictionLog
+    {
+        LineLattice window;
+        /** The canonical index of window.lo, and its step per line. */
+        std::uint64_t origin = 0;
+        std::uint64_t sign = 1;
+        std::uint64_t *slots = nullptr;
+        std::size_t logged = 0;
+
+        VCACHE_ALWAYS_INLINE void
+        note(Addr line)
+        {
+            const std::uint64_t t = window.indexOf(line);
+            slots[logged] = origin + sign * t;
+            logged += t != LineLattice::kNone;
+        }
+    };
+
+    /** Open the log with room for `reads` more entries. */
+    EvictionLog
+    openLog(std::uint64_t reads)
+    {
+        EvictionLog log;
+        if (!canon.held)
+            return log;
+        std::vector<std::uint64_t> &c = canon.candidates;
+        const VectorRef &x = canon.run;
+        // Bound the list by the window: drop duplicates once it holds
+        // twice as many entries.
+        if (canon.logged > 2 * (x.length - canon.first)) {
+            std::sort(c.begin(), c.begin() + canon.logged);
+            canon.logged = static_cast<std::size_t>(
+                std::unique(c.begin(), c.begin() + canon.logged) -
+                c.begin());
+        }
+        if (c.size() < canon.logged + reads)
+            c.resize(canon.logged + reads);
+        log.window = canon.window;
+        log.origin = x.stride < 0 ? x.length - 1 : canon.first;
+        log.sign = x.stride < 0 ? ~std::uint64_t{0} : 1;
+        log.slots = c.data();
+        log.logged = canon.logged;
+        return log;
+    }
+
+    /**
+     * Whether the canonical closed form can answer elements [h, L) of
+     * the held run: no flagged frame, and under non-blocking misses
+     * (clock-coupled) no miss at all -- a whole pass (h = 0) within
+     * one period, with no candidate.
      */
     bool
-    coldPass(const VectorOp &op)
+    canonicalFits(std::uint64_t h) const
     {
-        const VectorRef &ref = op.first;
+        const VectorRef &x = canon.run;
+        return !cache.anyFlagged() &&
+               (!opts.nonBlocking ||
+                (h == 0 && canon.logged == 0 &&
+                 (x.stride == 0 || x.length <= canon.period)));
+    }
+
+    /**
+     * Answer a single-stream op in closed form when the walker holds
+     * its canonical state (a repeat, or a re-walk after a
+     * double-stream op).
+     *
+     * @return false, having done nothing, otherwise
+     */
+    bool
+    canonicalPass(const VectorRef &ref)
+    {
+        if constexpr (kSteadyMapped) {
+            if (holds(ref) && canonicalFits(0)) {
+                canonicalFrom(0);
+                return true;
+            }
+        }
+        return false;
+    }
+
+    /**
+     * Elements [h, L) of the held run X, from its canonical state (see
+     * the file comment); h is a strip head.  Leaves X canonical, with
+     * the candidates below h still listed.
+     */
+    void
+    canonicalFrom(std::uint64_t h)
+    {
+        CacheT &cache = this->cache;
+        const VectorRef &x = canon.run;
+        const std::uint64_t n = x.length;
+        const std::uint64_t p = canon.period;
+        std::uint64_t hits = n - h;
+        std::uint64_t warm = stripHeads(n) - stripHeads(h);
+        if (x.stride != 0) {
+            const std::uint64_t lo = std::max(h, canon.first);
+            const std::uint64_t hi = std::min(n, h + p);
+            hits = hi > lo ? hi - lo : 0;
+            warm = hi > lo ? stripHeads(hi) - stripHeads(lo) : 0;
+        }
+        // Candidate j's class is first visited at i = j - q*P, and as j
+        // lies in the last period, q is one of two values: no division
+        // per candidate.
+        const std::uint64_t q_hi = (n - 1 - h) / p;
+        const std::uint64_t split = h + q_hi * p;
+        std::size_t kept = 0;
+        for (std::size_t k = 0; k < canon.logged; ++k) {
+            const std::uint64_t j = canon.candidates[k];
+            if (j < h) {
+                canon.candidates[kept++] = j;
+                continue;
+            }
+            const std::uint64_t q = j >= split ? q_hi : q_hi - 1;
+            const std::uint64_t i = j - q * p;
+            const bool assumed = x.stride == 0 || q == 0;
+            // The class ends holding line(j): one probe reads the
+            // first visit and places it when the two coincide.
+            bool hit = false;
+            if (q == 0) {
+                hit = probeLine(cache, x.element(j)).hit;
+            } else {
+                hit = containsWord(cache, x.element(i));
+                probeLine(cache, x.element(j));
+            }
+            if (hit != assumed) {
+                hits = hit ? hits + 1 : hits - 1;
+                if (i % opts.mvl == 0)
+                    warm = hit ? warm + 1 : warm - 1;
+            }
+        }
+        canon.logged = kept;
+
+        const std::uint64_t count = n - h;
+        const std::uint64_t misses = count - hits;
+        const std::uint64_t strips = stripHeads(n) - stripHeads(h);
+        counts.results += count;
+        counts.hits += hits;
+        counts.misses += misses;
+        coldStrips += strips - warm;
+        warmStrips += warm;
+        sink().add({.coldStrips = strips - warm,
+                    .warmStrips = warm,
+                    .hits = hits,
+                    .blocking = misses});
+        // Every miss displaces a valid line, without a flag.
+        CacheStats delta;
+        delta.accesses = count;
+        delta.reads = count;
+        delta.hits = hits;
+        delta.misses = misses;
+        delta.evictions = misses;
+        cache.applyStatsDelta(delta);
+    }
+
+    static std::uint64_t
+    magnitude(std::int64_t stride)
+    {
+        return stride < 0 ? 0 - static_cast<std::uint64_t>(stride)
+                          : static_cast<std::uint64_t>(stride);
+    }
+
+    /**
+     * True when no line of `ref` was ever touched (see the file
+     * comment's cold pass): a non-zero stride of at least a line, no
+     * wrap, and a line extent disjoint from the first-touch set's.
+     */
+    bool
+    provablyCold(const VectorRef &ref) const
+    {
         const AddressLayout &layout = cache.addressLayout();
-        const std::uint64_t magnitude =
-            ref.stride < 0 ? 0 - static_cast<std::uint64_t>(ref.stride)
-                           : static_cast<std::uint64_t>(ref.stride);
-        if (op.second || ref.length == 0 ||
-            magnitude < layout.lineWords() ||
+        if (ref.length == 0 || magnitude(ref.stride) < layout.lineWords() ||
             !spansWithoutWrap(ref.base, ref.stride, ref.length))
             return false;
         const Addr head = layout.lineAddress(ref.base);
-        const Addr tail =
-            layout.lineAddress(ref.element(ref.length - 1));
-        if (!touched.disjoint(std::min(head, tail), std::max(head, tail)))
-            return false;
+        const Addr tail = layout.lineAddress(ref.element(ref.length - 1));
+        return touched.disjoint(std::min(head, tail),
+                                std::max(head, tail));
+    }
+
+    /** True when every live lane can time `ref` by issueStripRun(). */
+    bool
+    lanesIssueRun(const VectorRef &ref) const
+    {
         if constexpr (Lanes != LaneCount::Zero) {
             for (const CcLane &l : lanes)
                 if (!l.dead && !l.memory.canIssueStripRun(
@@ -728,11 +974,75 @@ class CcWalker
                                    ref.length))
                     return false;
         }
+        return true;
+    }
 
+    /**
+     * The closed-form cold pass of a single-stream op.
+     *
+     * @return false, having done nothing, when the op does not qualify
+     */
+    bool
+    coldPass(const VectorOp &op)
+    {
+        if (op.second || !provablyCold(op.first) ||
+            !lanesIssueRun(op.first))
+            return false;
+        if constexpr (kSteadyMapped)
+            track(op.first);
+        coldFill(op.first);
+        return true;
+    }
+
+    /**
+     * A cold double-stream tail (see the file comment): a first stream
+     * cold at op start, whose tail from strip head h the second
+     * stream's reads -- its first min(L2, L) elements, all in the head
+     * -- do not meet.  Walks the head and fills the tail.
+     *
+     * @return false, having done nothing, when the op does not qualify
+     */
+    bool
+    coldTail(const VectorOp &op, std::uint64_t h)
+    {
+        const VectorRef &x = op.first;
+        const VectorRef &y = *op.second;
+        const VectorRef tail{x.element(h), x.stride, x.length - h};
+        const std::uint64_t read = std::min(y.length, x.length);
+        if (cache.anyFlagged() || cache.addressLayout().offsetBits() != 0 ||
+            !provablyCold(x) || !lanesIssueRun(tail) ||
+            !spansWithoutWrap(y.base, y.stride, read) ||
+            progressionsMeet(tail.base, tail.stride, tail.length, y.base,
+                             y.stride, read))
+            return false;
+        track(x);
+        stripLoop<true>(op, h, false);
+        coldFill(tail);
+        ++paths.coldTails;
+        return true;
+    }
+
+    /**
+     * Fill a run every line of which is provably cold and time it on
+     * each live lane.  Every resident line the walk can read is in the
+     * first-touch set (a live-point seeds the lines its window can
+     * re-read), so each read misses the cache and is a compulsory
+     * miss; every strip then starts cold and every element issues at
+     * its bank as in an MM strip, so the functional work is one fill
+     * loop and each live lane's timing is
+     * InterleavedMemory::issueStripRun().
+     */
+    void
+    coldFill(const VectorRef &ref)
+    {
+        const AddressLayout &layout = cache.addressLayout();
+        const Addr head = layout.lineAddress(ref.base);
+        const Addr tail =
+            layout.lineAddress(ref.element(ref.length - 1));
         // One-word lines: the lines are the run itself, one record.
         const bool one_word = layout.lineWords() == 1;
         if (one_word)
-            touched.insertRun(std::min(head, tail), magnitude,
+            touched.insertRun(std::min(head, tail), magnitude(ref.stride),
                               ref.length);
         bool all_missed = true;
         if (kSteadyMapped && one_word) {
@@ -773,7 +1083,6 @@ class CcWalker
                                            ref.base, ref.stride,
                                            ref.length, l.clock, l.stall);
         }
-        return true;
     }
 
     /**
@@ -797,7 +1106,9 @@ class CcWalker
                 if (j == g)
                     break;
             }
-            access(cache, layout, a, StreamOperand::First);
+            EvictionLog none;
+            access<false>(cache, layout, a, StreamOperand::First, false,
+                          none);
             a += static_cast<std::uint64_t>(stride);
         }
         return a;
@@ -813,15 +1124,34 @@ class CcWalker
         sink().add({.hits = n});
     }
 
-    /** One op's strip-mined element loop, with the gang probe. */
+    /**
+     * One op's strip-mined element loop, with the gang probe, over its
+     * first `end` elements (a strip head, or the whole op).
+     *
+     * `Log` walks the head of a tail the walker answers next (closed
+     * or cold), logging the evictions of its second-stream reads, and
+     * of its first-stream reads when `log_first`.  A first-stream read
+     * evicts a canonical line of its own run only before that line's
+     * read, which a complete pass repairs; so a cold tail, which
+     * completes the pass, logs its second stream alone.  Every other
+     * walk logs nothing: its hot loop is the plain element loop.
+     */
+    template <bool Log>
     void
-    stripLoop(const VectorOp &op)
+    stripLoop(const VectorOp &op, std::uint64_t end,
+              bool log_first = false)
     {
         // Locals, not members: the tag array's byte-wide stores may
         // alias any member, which would force reloads per element.
         CacheT &cache = this->cache;
         const AddressLayout &layout = cache.addressLayout();
-        walkedElements += op.first.length;
+        EvictionLog log;
+        if constexpr (Log) {
+            const std::uint64_t second_reads =
+                op.second ? std::min(op.second->length, end) : 0;
+            log = openLog((log_first ? end : 0) + second_reads);
+        }
+        walkedElements += end;
         const std::int64_t s1 = op.first.stride;
         const std::int64_t s2 = op.second ? op.second->stride : 0;
         bool gang_probe = false;
@@ -840,8 +1170,7 @@ class CcWalker
                                           op.first.length) &&
                          steadyRunPeriod(cache.numLines(), s1) >= kGang;
 
-        for (std::uint64_t done = 0; done < op.first.length;
-             done += opts.mvl) {
+        for (std::uint64_t done = 0; done < end; done += opts.mvl) {
             Addr a1 = op.first.element(done);
             const bool warm = containsWord(cache, a1);
             if (warm) {
@@ -909,11 +1238,13 @@ class CcWalker
                 // gang's results and position are credited after it,
                 // which keeps the loop counter in a register.
                 for (unsigned j = 0; j < g; ++j) {
-                    access(cache, layout, a1, StreamOperand::First);
+                    access<Log>(cache, layout, a1, StreamOperand::First,
+                                log_first, log);
                     a1 = static_cast<Addr>(
                         static_cast<std::int64_t>(a1) + s1);
                     if (j < second_left) {
-                        access(cache, layout, a2, StreamOperand::Second);
+                        access<Log>(cache, layout, a2,
+                                    StreamOperand::Second, true, log);
                         a2 = static_cast<Addr>(
                             static_cast<std::int64_t>(a2) + s2);
                     }
@@ -922,12 +1253,15 @@ class CcWalker
                 i += g;
             }
         }
+        if constexpr (Log)
+            canon.logged = log.logged;
     }
 
-    /** One element read. */
+    /** One element read; its eviction goes to `log` when `logged`. */
+    template <bool Log>
     VCACHE_ALWAYS_INLINE void
     access(CacheT &cache, const AddressLayout &layout, Addr addr,
-           StreamOperand operand)
+           StreamOperand operand, bool logged, EvictionLog &log)
     {
         const Addr line = layout.lineAddress(addr);
         const AccessOutcome outcome = probeLine(cache, line);
@@ -958,6 +1292,10 @@ class CcWalker
                            frameIndexOf(cache, line), MissKind::Blocking,
                            lanes[0].memoryTime, operand);
             sink().add({.blocking = 1});
+        }
+        if constexpr (Log) {
+            if (logged && outcome.evicted)
+                log.note(outcome.evictedLine);
         }
         if constexpr (Observer::kEnabled) {
             if (outcome.evicted)
@@ -1080,10 +1418,11 @@ class CcWalker
     CcSoloState *solo;
     /** Many lanes: countable events not yet flushed into them. */
     CcEvents pending;
-    /** Strips walked, for the tier-2 measurement pass. */
+    /** Strips walked, for the memo's measurement pass. */
     std::uint64_t coldStrips = 0;
     std::uint64_t warmStrips = 0;
     Memo memo;
+    Canonical canon;
 };
 
 } // namespace vcache

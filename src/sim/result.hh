@@ -39,7 +39,8 @@ struct SimResult
 /**
  * Which path of the CC walker (sim/cc_walker.hh) answered each vector
  * op of a walk, and what its gang probes credited in bulk.  Every op
- * lands in exactly one of the five op counters.  Plain counters, not
+ * lands in exactly one of the five op counters; the tail counters
+ * count within the walked ones.  Plain counters, not
  * Observer hooks: an observer forces element-wise replay.  They let a
  * differential test show that the fast path it pins really fired.
  */
@@ -49,12 +50,19 @@ struct CcPathCounts
     std::uint64_t elementWiseOps = 0;
     /** Ops filled in one loop and timed by the cold closed form. */
     std::uint64_t coldOps = 0;
-    /** Ops replayed from a tier-1 (closed-form) memo certificate. */
-    std::uint64_t tier1Ops = 0;
-    /** Ops replayed from a tier-2 (snapshot) memo certificate. */
-    std::uint64_t tier2Ops = 0;
+    /** Single-stream ops answered from their canonical state. */
+    std::uint64_t canonicalOps = 0;
+    /** Ops replayed from a run memo (snapshot) certificate. */
+    std::uint64_t memoOps = 0;
     /** Ops walked element by element because the memo refused them. */
     std::uint64_t refusedOps = 0;
+    /**
+     * Walked double-stream ops whose single-stream tail was answered
+     * from the first stream's canonical state.
+     */
+    std::uint64_t closedTails = 0;
+    /** Walked double-stream ops whose tail took the cold-pass body. */
+    std::uint64_t coldTails = 0;
     /** Element reads gang probes credited as hits in bulk. */
     std::uint64_t gangHits = 0;
     /** Gangs whose misses were walked alone, from an exact hit mask. */
@@ -63,7 +71,7 @@ struct CcPathCounts
     std::uint64_t
     ops() const
     {
-        return elementWiseOps + coldOps + tier1Ops + tier2Ops +
+        return elementWiseOps + coldOps + canonicalOps + memoOps +
                refusedOps;
     }
 
@@ -72,9 +80,11 @@ struct CcPathCounts
     {
         elementWiseOps += o.elementWiseOps;
         coldOps += o.coldOps;
-        tier1Ops += o.tier1Ops;
-        tier2Ops += o.tier2Ops;
+        canonicalOps += o.canonicalOps;
+        memoOps += o.memoOps;
         refusedOps += o.refusedOps;
+        closedTails += o.closedTails;
+        coldTails += o.coldTails;
         gangHits += o.gangHits;
         exactMaskGangs += o.exactMaskGangs;
     }

@@ -313,9 +313,9 @@ publishCounters(const SamplingEstimate &est, ObsRegistry *registry)
                       "auto-tune rounds until the CI target or trace "
                       "exhaustion") += est.rounds;
     registry->counter("sampling.warming_ppm",
-                      "elements of the ops the functional warmer walked "
-                      "rather than replayed from its run memo, ppm of "
-                      "the trace") +=
+                      "elements the functional warmer walked or filled "
+                      "cold, rather than answered in closed form or "
+                      "replayed from its run memo, ppm of the trace") +=
         static_cast<std::uint64_t>(est.warmingFraction * 1e6);
     registry->counter("sampling.achieved_ci_ppm",
                       "final relative CI half-width, ppm") +=
@@ -495,7 +495,7 @@ sampleCc(const MachineParams &machine, const CacheConfig &cache_config,
         auto sim = std::make_unique<CcSimulator>(machine, cache_config);
         // The windows run Auto: the gang probe pays off even in a
         // two-op window, and a solo walk does not try the memo's
-        // tier-2 certification before an op's third walk (see
+        // certification before an op's third walk (see
         // CcWalker::certify).
         sim->setNonBlockingMisses(opts.nonBlocking);
         sim->setCancelToken(opts.cancel);

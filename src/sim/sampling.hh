@@ -50,9 +50,9 @@
  * element-wise reference it is pinned against is a solo
  * SimEngine::Scalar run
  * (CcWalkerFuzz.SampledWindowsSumToTheExactRun).  The measurement
- * windows run Auto: a solo walk holds the memo's tier-2 certification
- * back until an op's third walk, so a window of two ops pays for the
- * gang probe only.
+ * windows run Auto: a solo walk holds the memo's certification back
+ * until an op's third walk, so a window of two ops pays for the gang
+ * probe only.
  */
 
 #ifndef VCACHE_SIM_SAMPLING_HH
@@ -144,9 +144,9 @@ struct SamplingEstimate
     std::uint64_t elementsMeasured = 0;
 
     /**
-     * Elements of the ops the functional warmer walked rather than
-     * replayed from its run memo, as a fraction of the trace (0 for
-     * the MM machine; the replayed remainder cost O(1) per op).
+     * Elements the functional warmer walked or filled cold, rather
+     * than answered in closed form or replayed from its run memo, as
+     * a fraction of the trace (0 for the MM machine).
      */
     double warmingFraction = 0.0;
 

@@ -2,10 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <set>
 #include <tuple>
 
 #include "numtheory/congruence.hh"
 #include "util/rng.hh"
+#include "util/types.hh"
 
 namespace vcache
 {
@@ -115,6 +118,79 @@ TEST(CrossConflict, UniformDClosedFormValue)
     // Hand-computed: M=4, n=2, tm=2 -> pairs (d=0):2*2=4, (|d|=1):
     // 1*1*2=2 -> 6/4 = 1.5.
     EXPECT_DOUBLE_EQ(crossConflictStallsUniformD(4, 2, 2), 1.5);
+}
+
+/** The brute-force answer: enumerate one run, test the other. */
+bool
+meetBruteForce(std::uint64_t a, std::int64_t s, std::uint64_t n,
+               std::uint64_t b, std::int64_t t, std::uint64_t m)
+{
+    std::set<std::uint64_t> seen;
+    for (std::uint64_t i = 0; i < n; ++i)
+        seen.insert(a + static_cast<std::uint64_t>(s) * i);
+    for (std::uint64_t k = 0; k < m; ++k)
+        if (seen.count(b + static_cast<std::uint64_t>(t) * k))
+            return true;
+    return false;
+}
+
+TEST(ProgressionsMeet, MatchesBruteForce)
+{
+    Rng rng(11);
+    // Small bases, and bases near 2^64 (runs placed so they do not
+    // wrap), strides of both signs with shared factors, lengths from
+    // zero up; extents disjoint, touching and nested.
+    constexpr std::uint64_t kTop = ~std::uint64_t{0};
+    for (int trial = 0; trial < 20000; ++trial) {
+        const bool high = trial % 2 == 1;
+        const auto stride = [&rng] {
+            const std::int64_t f =
+                static_cast<std::int64_t>(1 + rng.next() % 3);
+            const std::int64_t s =
+                f * static_cast<std::int64_t>(rng.next() % 9);
+            return rng.bernoulli(0.4) ? -s : s;
+        };
+        const std::int64_t s = stride();
+        const std::int64_t t = stride();
+        const std::uint64_t n = rng.next() % 12;
+        const std::uint64_t m = rng.next() % 12;
+        // 24 strides of at most 24 fit below 600 in either direction.
+        const auto base = [&rng, high](std::int64_t step) {
+            const std::uint64_t off = 600 + rng.next() % 80;
+            const std::uint64_t b = high ? kTop - off : off;
+            return step < 0 ? b : b - 600 * high;
+        };
+        const std::uint64_t a = base(s);
+        const std::uint64_t b = base(t);
+        ASSERT_TRUE(spansWithoutWrap(a, s, n));
+        ASSERT_TRUE(spansWithoutWrap(b, t, m));
+        ASSERT_EQ(progressionsMeet(a, s, n, b, t, m),
+                  meetBruteForce(a, s, n, b, t, m))
+            << "a " << a << " s " << s << " n " << n << " b " << b
+            << " t " << t << " m " << m;
+    }
+}
+
+TEST(ProgressionsMeet, HugeStridesAndTheTopOfTheAddressSpace)
+{
+    constexpr std::uint64_t kTop = ~std::uint64_t{0};
+    constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+    // Two elements 2^63 apart, descending from the top.
+    EXPECT_TRUE(progressionsMeet(kTop, kMin, 2, kTop >> 1, 0, 1));
+    EXPECT_FALSE(progressionsMeet(kTop, kMin, 2, kTop - 1, 1, 1));
+    // Strides near 2^62, where products overflow 64 bits.
+    const std::int64_t big = (std::int64_t{1} << 62) - 1;
+    EXPECT_TRUE(progressionsMeet(0, big, 3, 2 * big, 5, 1));
+    EXPECT_TRUE(progressionsMeet(big * 2, -big, 3, big, 1, 1));
+    EXPECT_FALSE(progressionsMeet(1, big, 3, 0, big, 3));
+    // Touching extents: the last of one is the first of the other.
+    EXPECT_TRUE(progressionsMeet(kTop - 12, 4, 4, kTop, 7, 1));
+    EXPECT_FALSE(progressionsMeet(kTop - 13, 4, 4, kTop, -7, 2));
+    // gcd 6: 599 is the last of one run and the first of the other;
+    // 598 is off the common class.
+    EXPECT_TRUE(progressionsMeet(5, 6, 100, 599, 12, 100));
+    EXPECT_FALSE(progressionsMeet(5, 6, 100, 598, 12, 100));
+    EXPECT_FALSE(progressionsMeet(0, 6, 100, 19, 12, 100));
 }
 
 } // namespace

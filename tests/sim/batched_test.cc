@@ -523,9 +523,13 @@ TEST_F(BatchedFaults, CcArmedPlanRefusesTheColdPass)
 {
     // Fresh single-stream runs: the cold pass takes every one of them
     // unless a plan is armed, and then every miss reaches the site.
+    // So does a fresh double-stream op: its tail past the short second
+    // stream is a cold tail.
     Trace trace;
     for (const Addr base : {Addr{1} << 20, Addr{2} << 20, Addr{3} << 20})
         trace.push_back(VectorOp{VectorRef{base, 3, 1000}, {}, {}});
+    trace.push_back(VectorOp{VectorRef{Addr{4} << 20, 3, 1000},
+                             VectorRef{Addr{5} << 20, 1, 100}, {}});
     std::uint64_t hits[2] = {0, 0};
     SimResult results[2];
     int i = 0;
@@ -535,16 +539,19 @@ TEST_F(BatchedFaults, CcArmedPlanRefusesTheColdPass)
         sim.setEngine(engine);
         results[i] = sim.run(trace);
         EXPECT_EQ(sim.pathCounts().coldOps, 0u) << simEngineName(engine);
+        EXPECT_EQ(sim.pathCounts().coldTails, 0u)
+            << simEngineName(engine);
         hits[i++] = faults::faultSiteHits("memory.bank.issue");
     }
     expectSameResult(results[1], results[0], "cc-armed-cold");
-    EXPECT_EQ(hits[0], 3000u);
+    EXPECT_EQ(hits[0], 4100u);
     EXPECT_EQ(hits[1], hits[0]);
 
     faults::clearFaults();
     CcSimulator sim(paperMachineM32(), CacheConfig{});
     expectSameResult(sim.run(trace), results[0], "cc-disarmed-cold");
     EXPECT_EQ(sim.pathCounts().coldOps, 3u);
+    EXPECT_EQ(sim.pathCounts().coldTails, 1u);
 }
 
 } // namespace

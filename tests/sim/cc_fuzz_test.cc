@@ -15,7 +15,8 @@
  * The walker's path counters (CcPathCounts) show that the fast paths
  * really fire: on the fuzz streams, on targeted cases where each
  * condition of the cold pass or the exact-mask gang is broken in
- * turn, and on one VCM paper point.
+ * turn, on a restored state with a flagged frame, and on one VCM
+ * paper point.
  *
  * Fixed seeds and a small cache keep the whole suite to a few seconds
  * in a Debug build, so every build and backend CI ships runs it.
@@ -32,6 +33,7 @@
 #include "cache_schemes.hh"
 #include "fuzz_trace.hh"
 #include "core/defaults.hh"
+#include "cache/factory.hh"
 #include "sim/cc_sim.hh"
 #include "sim/gang.hh"
 #include "sim/sampling.hh"
@@ -143,9 +145,11 @@ TEST(CcWalkerFuzz, EnginesMatchTheElementWiseWalk)
     }
     // Not vacuous: the streams reach every fast path.
     EXPECT_GT(fired.coldOps, 0u);
+    EXPECT_GT(fired.coldTails, 0u);
     EXPECT_GT(fired.exactMaskGangs, 0u);
-    EXPECT_GT(fired.tier1Ops, 0u);
-    EXPECT_GT(fired.tier2Ops, 0u);
+    EXPECT_GT(fired.canonicalOps, 0u);
+    EXPECT_GT(fired.closedTails, 0u);
+    EXPECT_GT(fired.memoOps, 0u);
 }
 
 TEST(CcWalkerFuzz, SampledWindowsSumToTheExactRun)
@@ -342,13 +346,15 @@ TEST(CcWalkerPaths, ExactMasksNeedAFramePeriodOfAGang)
     }
 }
 
-TEST(CcWalkerPaths, PaperPointTakesTheColdPassAndExactMasks)
+TEST(CcWalkerPaths, PaperPointTakesTheClosedForms)
 {
     // m = 5, B = 8192, P_ds = 0.2: the workload of one paper point,
-    // over the first four seeds.  A gang takes an exact mask only when
-    // its head hits and a later element misses; on the direct cache an
-    // even first-stream stride (period <= B / 2) misses every element
-    // of a steady pass, so the counts are summed over the seeds.
+    // over the first eight seeds.  Each block's first op is cold (a
+    // cold pass, or a cold tail when it is double-stream), its
+    // single-stream repeats and re-walks take the canonical closed
+    // form, and its double-stream repeats a closed tail.  Exact masks
+    // still fire where no canonical state is held
+    // (ExactMasksNeedAFramePeriodOfAGang).
     VcmParams p;
     p.blockingFactor = 8192;
     p.reuseFactor = 8;
@@ -361,7 +367,7 @@ TEST(CcWalkerPaths, PaperPointTakesTheColdPassAndExactMasks)
             scheme == CacheScheme::Prime ? "prime" : "direct";
         CcPathCounts solo;
         CcPathCounts gang;
-        for (const std::uint64_t seed : {1, 2, 3, 4}) {
+        for (std::uint64_t seed = 1; seed <= 8; ++seed) {
             const Trace trace = generateVcmTrace(p, seed);
             const std::string label =
                 name + " seed " + std::to_string(seed);
@@ -389,10 +395,59 @@ TEST(CcWalkerPaths, PaperPointTakesTheColdPassAndExactMasks)
                     << label;
             }
         }
-        EXPECT_GT(solo.coldOps, 0u) << name;
-        EXPECT_GT(solo.exactMaskGangs, 0u) << name;
-        EXPECT_GT(gang.coldOps, 0u) << name;
-        EXPECT_GT(gang.exactMaskGangs, 0u) << name;
+        for (const CcPathCounts &c : {solo, gang}) {
+            EXPECT_GT(c.coldOps, 0u) << name;
+            EXPECT_GT(c.coldTails, 0u) << name;
+            EXPECT_GT(c.canonicalOps, 0u) << name;
+            EXPECT_GT(c.closedTails, 0u) << name;
+        }
+    }
+}
+
+TEST(CcWalkerPaths, FlaggedFramesRefuseTheClosedForms)
+{
+    // A restored live point whose cache holds a dirty line in a frame
+    // the trace never reads (an odd one: every stream below has an
+    // even base and stride).  The first trace's repeat of X would take
+    // the canonical closed form, the second's double-stream op a cold
+    // tail; with the flag set, both walk.
+    const VectorOp x = singleOp(kBase, 2, 200);
+    VectorOp cold = singleOp(kBase + 100000, 2, 300);
+    cold.second = VectorRef{kBase + 200000, 2, 40};
+    const Addr dirty = kBase + 300001;
+    std::vector<std::uint64_t> blob;
+    {
+        const auto cache = makeCache(directConfig());
+        cache->access(dirty, AccessType::Write);
+        cache->captureState(blob);
+    }
+    for (const bool restored : {false, true}) {
+        const std::vector<Addr> seeded =
+            restored ? std::vector<Addr>{dirty} : std::vector<Addr>{};
+        for (const Trace &trace : {Trace{x, x}, Trace{cold}}) {
+            const std::string label =
+                std::string(restored ? "dirty " : "clean ") +
+                (trace.size() == 2 ? "repeat" : "cold tail");
+            CcSimulator fast(machineAt(16), directConfig());
+            CcSimulator scalar(machineAt(16), directConfig());
+            scalar.setEngine(SimEngine::Scalar);
+            if (restored) {
+                ASSERT_TRUE(fast.restoreCacheState(blob));
+                ASSERT_TRUE(scalar.restoreCacheState(blob));
+            }
+            fast.seedTouchedLines(seeded);
+            scalar.seedTouchedLines(seeded);
+            const SimResult want = scalar.run(trace);
+            expectSame({fast.run(trace), fast.cache().stats()},
+                       {want, scalar.cache().stats()}, label);
+            const CcPathCounts &paths = fast.pathCounts();
+            EXPECT_EQ(paths.canonicalOps,
+                      !restored && trace.size() == 2 ? 1u : 0u)
+                << label;
+            EXPECT_EQ(paths.coldTails,
+                      !restored && trace.size() == 1 ? 1u : 0u)
+                << label;
+        }
     }
 }
 
