@@ -27,6 +27,7 @@
 #include "sim/runner.hh"
 #include "sim/sampling.hh"
 #include "sim/sweep.hh"
+#include "trace/fft.hh"
 #include "trace/multistride.hh"
 #include "trace/source.hh"
 #include "trace/vcm.hh"
@@ -200,6 +201,37 @@ BENCHMARK_CAPTURE(BM_FreshCcSimulator, direct_b8192_scalar,
                   CacheScheme::Direct, 8192, SimEngine::Scalar);
 BENCHMARK_CAPTURE(BM_FreshCcSimulator, prime_b8192_scalar,
                   CacheScheme::Prime, 8192, SimEngine::Scalar);
+
+/**
+ * The short-op shape: the FFT-2D 128x128 trace (32512 double-stream
+ * butterfly ops of 1 to 64 elements) on a fresh simulator.  Most ops
+ * are too short for the walker's first-touch classification, so they
+ * hash every miss; CI reports the same-run Auto / Scalar ratio per
+ * scheme.
+ */
+void
+BM_FftCcSimulator(benchmark::State &state, CacheScheme scheme,
+                  SimEngine engine)
+{
+    static const Trace trace = generateFft2dTrace(Fft2dParams{128, 128, 0});
+    const auto n = totalElements(trace);
+    for (auto _ : state) {
+        CcSimulator sim(paperMachineM32(), scheme);
+        sim.setEngine(engine);
+        benchmark::DoNotOptimize(sim.run(trace));
+    }
+    state.SetItemsProcessed(
+        static_cast<std::int64_t>(state.iterations() * n));
+    state.SetLabel(simdBackendLabel());
+}
+BENCHMARK_CAPTURE(BM_FftCcSimulator, direct_auto, CacheScheme::Direct,
+                  SimEngine::Auto);
+BENCHMARK_CAPTURE(BM_FftCcSimulator, direct_scalar, CacheScheme::Direct,
+                  SimEngine::Scalar);
+BENCHMARK_CAPTURE(BM_FftCcSimulator, prime_auto, CacheScheme::Prime,
+                  SimEngine::Auto);
+BENCHMARK_CAPTURE(BM_FftCcSimulator, prime_scalar, CacheScheme::Prime,
+                  SimEngine::Scalar);
 
 /**
  * The first-touch set alone, as a CC run drives it: a fresh set

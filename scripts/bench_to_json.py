@@ -139,6 +139,17 @@ def main(argv: list[str]) -> None:
             rate_of("BM_FreshCcSimulator/direct_b8192_scalar"),
         "cc_fresh_prime_b8192_scalar_elements_per_s":
             rate_of("BM_FreshCcSimulator/prime_b8192_scalar"),
+        # FFT-2D 128x128 on a fresh simulator: short double-stream
+        # ops, most of them hashed rather than classified; CI reports
+        # the same-run Auto / Scalar ratio per scheme.
+        "cc_fft_direct_elements_per_s":
+            rate_of("BM_FftCcSimulator/direct_auto"),
+        "cc_fft_direct_scalar_elements_per_s":
+            rate_of("BM_FftCcSimulator/direct_scalar"),
+        "cc_fft_prime_elements_per_s":
+            rate_of("BM_FftCcSimulator/prime_auto"),
+        "cc_fft_prime_scalar_elements_per_s":
+            rate_of("BM_FftCcSimulator/prime_scalar"),
         # The first-touch set on its own: one cache's worth of a
         # strided stream into a fresh presized set, per stride.
         "first_touch_set_s1_inserts_per_s":

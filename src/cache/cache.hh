@@ -123,7 +123,7 @@ class Cache
     }
 
     /** Count a demand-access outcome into the stats block. */
-    void
+    VCACHE_ALWAYS_INLINE void
     recordAccess(const AccessOutcome &outcome, AccessType type)
     {
         ++stats_.accesses;
@@ -360,7 +360,7 @@ class Cache
  * devirtualized fast paths and the generic path.
  */
 template <typename CacheT>
-inline AccessOutcome
+VCACHE_ALWAYS_INLINE AccessOutcome
 probeLine(CacheT &cache, Addr line_addr)
 {
     if constexpr (std::is_final_v<CacheT>)

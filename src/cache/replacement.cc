@@ -1,9 +1,83 @@
 #include "cache/replacement.hh"
 
+#include <numeric>
+
 #include "util/logging.hh"
 
 namespace vcache
 {
+
+void
+WayOrder::configure(std::uint64_t sets, unsigned w)
+{
+    ways = w;
+    prev.assign(sets * ways, kNil);
+    next.assign(sets * ways, kNil);
+    head.assign(sets, kNil);
+    tail.assign(sets, kNil);
+    reset();
+}
+
+void
+WayOrder::reset()
+{
+    if (ways == 0)
+        return;
+    std::vector<unsigned> order(ways);
+    std::iota(order.begin(), order.end(), 0u);
+    for (std::uint64_t set = 0; set < head.size(); ++set)
+        link(set, order.data());
+}
+
+void
+WayOrder::link(std::uint64_t set, const unsigned *order)
+{
+    const std::uint64_t base = set * ways;
+    for (unsigned k = 0; k < ways; ++k) {
+        prev[base + order[k]] = k == 0 ? kNil : order[k - 1];
+        next[base + order[k]] = k + 1 == ways ? kNil : order[k + 1];
+    }
+    head[set] = order[0];
+    tail[set] = order[ways - 1];
+}
+
+void
+WayOrder::moveToBack(std::uint64_t set, unsigned way)
+{
+    if (tail[set] == way)
+        return;
+    const std::uint64_t base = set * ways;
+    // Unlink: `way` is not the tail, so it has a next.
+    const std::uint32_t p = prev[base + way];
+    const std::uint32_t n = next[base + way];
+    if (p == kNil)
+        head[set] = n;
+    else
+        next[base + p] = n;
+    prev[base + n] = p;
+    // Append.
+    prev[base + way] = tail[set];
+    next[base + way] = kNil;
+    next[base + tail[set]] = way;
+    tail[set] = way;
+}
+
+void
+WayOrder::rebuild(const std::vector<std::uint64_t> &stamps)
+{
+    if (ways == 0)
+        return;
+    std::vector<unsigned> order(ways);
+    for (std::uint64_t set = 0; set < head.size(); ++set) {
+        const std::uint64_t base = set * ways;
+        std::iota(order.begin(), order.end(), 0u);
+        std::stable_sort(order.begin(), order.end(),
+                         [&](unsigned a, unsigned b) {
+                             return stamps[base + a] < stamps[base + b];
+                         });
+        link(set, order.data());
+    }
+}
 
 void
 LruPolicy::configure(std::uint64_t sets, unsigned w)
@@ -11,12 +85,14 @@ LruPolicy::configure(std::uint64_t sets, unsigned w)
     ways = w;
     lastUse.assign(sets * ways, 0);
     clock = 0;
+    order.configure(sets, ways);
 }
 
 void
 LruPolicy::touch(std::uint64_t set, unsigned way)
 {
     lastUse[set * ways + way] = ++clock;
+    order.moveToBack(set, way);
 }
 
 void
@@ -28,15 +104,7 @@ LruPolicy::fill(std::uint64_t set, unsigned way)
 unsigned
 LruPolicy::victim(std::uint64_t set)
 {
-    unsigned best = 0;
-    std::uint64_t oldest = lastUse[set * ways];
-    for (unsigned w = 1; w < ways; ++w) {
-        if (lastUse[set * ways + w] < oldest) {
-            oldest = lastUse[set * ways + w];
-            best = w;
-        }
-    }
-    return best;
+    return order.front(set);
 }
 
 void
@@ -44,6 +112,7 @@ LruPolicy::reset()
 {
     std::fill(lastUse.begin(), lastUse.end(), 0);
     clock = 0;
+    order.reset();
 }
 
 void
@@ -60,6 +129,7 @@ LruPolicy::restoreState(const std::uint64_t *words, std::size_t n)
         return false;
     clock = words[0];
     std::copy(words + 1, words + n, lastUse.begin());
+    order.rebuild(lastUse);
     return true;
 }
 
@@ -69,6 +139,7 @@ FifoPolicy::configure(std::uint64_t sets, unsigned w)
     ways = w;
     fillTime.assign(sets * ways, 0);
     clock = 0;
+    order.configure(sets, ways);
 }
 
 void
@@ -81,20 +152,13 @@ void
 FifoPolicy::fill(std::uint64_t set, unsigned way)
 {
     fillTime[set * ways + way] = ++clock;
+    order.moveToBack(set, way);
 }
 
 unsigned
 FifoPolicy::victim(std::uint64_t set)
 {
-    unsigned best = 0;
-    std::uint64_t oldest = fillTime[set * ways];
-    for (unsigned w = 1; w < ways; ++w) {
-        if (fillTime[set * ways + w] < oldest) {
-            oldest = fillTime[set * ways + w];
-            best = w;
-        }
-    }
-    return best;
+    return order.front(set);
 }
 
 void
@@ -102,6 +166,7 @@ FifoPolicy::reset()
 {
     std::fill(fillTime.begin(), fillTime.end(), 0);
     clock = 0;
+    order.reset();
 }
 
 void
@@ -118,6 +183,7 @@ FifoPolicy::restoreState(const std::uint64_t *words, std::size_t n)
         return false;
     clock = words[0];
     std::copy(words + 1, words + n, fillTime.begin());
+    order.rebuild(fillTime);
     return true;
 }
 

@@ -87,6 +87,46 @@ class ReplacementPolicy
                               std::size_t n) = 0;
 };
 
+/**
+ * Each set's ways, oldest first, as a doubly linked list per set (the
+ * lrulist of an n-way cache), so the oldest way is found in O(1)
+ * instead of by a scan of the set.  "Oldest" is the order of per-way
+ * stamps from one rising clock, ties (ways never stamped) broken
+ * toward the lower way -- exactly the order a scan for the first
+ * minimum stamp reads.
+ */
+class WayOrder
+{
+  public:
+    /** Size for `sets` sets of `ways`, each in way order. */
+    void configure(std::uint64_t sets, unsigned ways);
+
+    /** Every set back to way order. */
+    void reset();
+
+    /** Make `way` the newest of `set`. */
+    void moveToBack(std::uint64_t set, unsigned way);
+
+    /** The oldest way of `set`. */
+    unsigned front(std::uint64_t set) const { return head[set]; }
+
+    /** Rebuild every set's order from its ways' stamps. */
+    void rebuild(const std::vector<std::uint64_t> &stamps);
+
+  private:
+    static constexpr std::uint32_t kNil = ~std::uint32_t{0};
+
+    /** Link `set`'s ways in the order given. */
+    void link(std::uint64_t set, const unsigned *order);
+
+    unsigned ways = 0;
+    /** Neighbours of each way, [set * ways + way]; kNil at the ends. */
+    std::vector<std::uint32_t> prev;
+    std::vector<std::uint32_t> next;
+    std::vector<std::uint32_t> head;
+    std::vector<std::uint32_t> tail;
+};
+
 /** Least recently used. */
 class LruPolicy : public ReplacementPolicy
 {
@@ -113,6 +153,7 @@ class LruPolicy : public ReplacementPolicy
     unsigned ways = 0;
     std::uint64_t clock = 0;
     std::vector<std::uint64_t> lastUse; // [set * ways + way]
+    WayOrder order;
 };
 
 /** First in, first out (ignores hits). */
@@ -141,6 +182,7 @@ class FifoPolicy : public ReplacementPolicy
     unsigned ways = 0;
     std::uint64_t clock = 0;
     std::vector<std::uint64_t> fillTime; // [set * ways + way]
+    WayOrder order;
 };
 
 /** Uniform random victim, deterministic via explicit seed. */

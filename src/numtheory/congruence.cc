@@ -92,25 +92,46 @@ inverseMod(U128 a, U128 m)
 
 } // namespace
 
-bool
-progressionsMeet(std::uint64_t a, std::int64_t s, std::uint64_t n,
+ProgressionMeets
+progressionMeets(std::uint64_t a, std::int64_t s, std::uint64_t n,
                  std::uint64_t b, std::int64_t t, std::uint64_t m)
 {
     if (n == 0 || m == 0)
-        return false;
+        return {};
     const Ascending p = ascending(a, s, n);
     const Ascending q = ascending(b, t, m);
     const U128 lo = p.lo > q.lo ? p.lo : q.lo;
     const U128 hi = p.hi < q.hi ? p.hi : q.hi;
     if (lo > hi)
-        return false;
+        return {};
+    // A value's index in each run, from its ascending rank.
+    const auto index_a = [&](U128 x) {
+        const auto u = static_cast<std::uint64_t>((x - p.lo) / p.step);
+        return s > 0 ? u : n - 1 - u;
+    };
+    const auto index_b = [&](U128 x) {
+        const auto u = static_cast<std::uint64_t>((x - q.lo) / q.step);
+        return t > 0 ? u : m - 1 - u;
+    };
+    const bool single_a = p.lo == p.hi;
+    if (single_a || q.lo == q.hi) {
+        // One value on one side: it lies in [lo, hi], so it matches
+        // iff it is on the other run's lattice.
+        const U128 x = single_a ? p.lo : q.lo;
+        const Ascending &other = single_a ? q : p;
+        if ((x - other.lo) % other.step != 0)
+            return {};
+        if (single_a)
+            return {.count = n, .i0 = 0, .di = 1, .k0 = index_b(x)};
+        return {.count = 1, .i0 = index_a(x), .di = 1, .k0 = 0};
+    }
     // x = p.lo + p.step*u with p.step*u == q.lo - p.lo (mod q.step).
     const U128 g = gcd(static_cast<std::uint64_t>(p.step),
                        static_cast<std::uint64_t>(q.step));
     const bool forward = q.lo >= p.lo;
     const U128 dist = forward ? q.lo - p.lo : p.lo - q.lo;
     if (dist % g != 0)
-        return false;
+        return {};
     const U128 mod = q.step / g;
     U128 u = 0;
     if (mod > 1) {
@@ -125,7 +146,21 @@ progressionsMeet(std::uint64_t a, std::int64_t s, std::uint64_t n,
     const U128 first =
         x0 >= lo ? lo + (x0 - lo) % period
                  : lo + (period - (lo - x0) % period) % period;
-    return first <= hi;
+    if (first > hi)
+        return {};
+    ProgressionMeets r;
+    r.count = static_cast<std::uint64_t>((hi - first) / period) + 1;
+    // A's indices ascend with the values when s > 0, so the first
+    // match is the lowest common value, else the highest; B's index
+    // moves the same way iff t has s's sign.
+    const U128 start =
+        s > 0 ? first : first + period * (r.count - 1);
+    r.i0 = index_a(start);
+    r.di = static_cast<std::uint64_t>(mod);
+    r.k0 = index_b(start);
+    const auto dk = static_cast<std::uint64_t>(p.step / g);
+    r.dk = (s > 0) == (t > 0) ? dk : 0 - dk;
+    return r;
 }
 
 std::uint64_t

@@ -30,17 +30,40 @@ std::vector<std::uint64_t> solveLinearCongruence(std::uint64_t a,
                                                  std::uint64_t m);
 
 /**
- * Whether the runs a + i*s (0 <= i < n) and b + k*t (0 <= k < m) share
- * a value, taking both as exact integers: the caller has checked that
- * neither wraps mod 2^64 (spansWithoutWrap()).  Strides may be zero or
- * negative.  A common value x solves x == a (mod |s|) and x == b (mod
- * |t|), so it exists iff gcd(|s|, |t|) divides b - a; the solutions
- * then form one class mod lcm(|s|, |t|), found with a modular inverse,
- * and the runs meet iff that class has a member in the overlap of
- * their extents.  O(log) time, no enumeration.
+ * Where the runs A = a + i*s (0 <= i < n) and B = b + k*t (0 <= k < m)
+ * share values, taking both as exact integers: the caller has checked
+ * that neither wraps mod 2^64 (spansWithoutWrap()).  Strides may be
+ * zero or negative.  The u-th match (u < count, A's index ascending)
+ * is A's element i0 + u*di, which equals B's element k0 + u*dk (mod
+ * 2^64: dk is negative when the strides' signs differ).  A common
+ * value x solves x == a (mod |s|) and x == b (mod |t|), so one exists
+ * iff gcd(|s|, |t|) divides b - a; the solutions then form one class
+ * mod lcm(|s|, |t|), found with a modular inverse, and the matches are
+ * that class's members in the overlap of the runs' extents.  A run of
+ * one value (stride zero or length one) matches B at all or none of
+ * its indices, with dk = 0; B of one value matches at most once.
+ * O(log) time: the caller steps along the matches by additions.
  */
-bool progressionsMeet(std::uint64_t a, std::int64_t s, std::uint64_t n,
-                      std::uint64_t b, std::int64_t t, std::uint64_t m);
+struct ProgressionMeets
+{
+    std::uint64_t count = 0;
+    std::uint64_t i0 = 0;
+    std::uint64_t di = 0;
+    std::uint64_t k0 = 0;
+    std::uint64_t dk = 0;
+};
+
+ProgressionMeets progressionMeets(std::uint64_t a, std::int64_t s,
+                                  std::uint64_t n, std::uint64_t b,
+                                  std::int64_t t, std::uint64_t m);
+
+/** Whether the runs of progressionMeets() share a value. */
+inline bool
+progressionsMeet(std::uint64_t a, std::int64_t s, std::uint64_t n,
+                 std::uint64_t b, std::int64_t t, std::uint64_t m)
+{
+    return progressionMeets(a, s, n, b, t, m).count != 0;
+}
 
 /** Parameters of one cross-interference evaluation. */
 struct CrossConflictQuery

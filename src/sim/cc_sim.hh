@@ -223,7 +223,7 @@ CcSimulator::walk(CacheT &cache, TraceSource &source, Observer &obs)
         walker.step(op);
     }
 
-    paths.add(walker.paths);
+    paths.add(walker.pathCounts());
     SimResult result = walker.counts;
     result.stallCycles = lane.stall;
     result.totalCycles = lane.clock;

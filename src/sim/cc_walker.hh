@@ -43,7 +43,7 @@
  * The functional state -- the cache, with its replacement state, and
  * the first-touch set that classifies compulsory misses -- never reads
  * a clock, so one walk serves every lane.  On top of the element loop
- * the walker has four fast paths, all exact, which run together or
+ * the walker has five fast paths, all exact, which run together or
  * not at all (CcWalkOptions::fastPaths): SimEngine::Auto, gang lanes
  * and the sampling warmer take them; SimEngine::Scalar takes none, so
  * its element loop is the one reference every fast path is pinned
@@ -95,10 +95,32 @@
  *     restored live point) and, under non-blocking misses, whenever a
  *     miss could occur.  Stride 0 (one line, all hits but a
  *     candidate's first visit) is the one special case.
- *   - Gang probe: on a cache whose read hits are inert, a strip is
- *     probed a gang of lines at a time through the dispatched SIMD
- *     kernels (32 elements, or 16 per stream when double-stream).  An
- *     all-hit gang is credited in bulk.  On a direct or prime cache
+ *   - First touches by counting (direct and prime caches, one-word
+ *     lines): a miss is compulsory iff its line was never touched.
+ *     Every stream the walker walks or fills cold is a constant-stride
+ *     run, and the first-touch set keeps such runs as records
+ *     (FirstTouchSet).  Before a walk whose streams each have a
+ *     non-zero stride and no wrap, whose reach holds no hashed line,
+ *     and which reads at least kMinClassifiedReads lines, the walker
+ *     classifies every read up front (classify()): a read is touched
+ *     when a record holds its line -- the whole stream at once when
+ *     one record holds it all, else the indices where the stream
+ *     meets each record, one arithmetic progression per record
+ *     (progressionMeets: a gcd and a modular inverse, then additions)
+ *     -- or when the op read its line earlier: x_i == y_j marks y_j
+ *     when i <= j (x_i issues first) and x_i otherwise.  The rest are
+ *     first touches.  A miss then reads its answer instead of hashing
+ *     its line, and each stream that read a line first becomes a
+ *     record.  Any other walk hashes its misses, scanning only the
+ *     records in its reach (FirstTouchSet::scopeTo()).  On the
+ *     paper's VCM walk no line is ever hashed, so the set's FlatSet
+ *     is never allocated.
+ *   - Gang probe: on a cache whose read hits are inert, a
+ *     single-stream strip (a single-stream op, or a double-stream
+ *     op's strips past its second stream) is probed a gang of 32
+ *     lines at a time through the dispatched SIMD kernels; strips
+ *     that read both streams are walked unprobed.  An all-hit gang is
+ *     credited in bulk.  On a direct or prime cache
  *     (one-word lines, no wrap) whose frame period for the stride is
  *     at least a gang, no two elements of a single-stream gang share
  *     a frame, so a miss cannot change another element's outcome: the
@@ -304,74 +326,287 @@ struct LineLattice
  * The extent lets the cold pass prove, with two compares, that none of
  * an op's lines was ever touched.
  *
- * Lines come in one by one, into a FlatSet, or as a whole cold run: a
- * constant-stride progression none of whose lines was in the set.  A
- * few such runs are kept as run records (LineLattice) instead of
- * hashed line by line, so a cold pass costs no hash insert per
- * element.
+ * Lines are held as run records -- constant-stride progressions
+ * (LineLattice), one per cold run or classified stream (see the
+ * walker's first-touch classification) -- or hashed one by one into a
+ * FlatSet, with their own extent, so the walker can prove that no
+ * hashed line lies in an op's reach.  The FlatSet is reserved at its
+ * first hashed insert, so a walk that hashes nothing never allocates
+ * it.  At most kMaxRuns records are held: past that the oldest is
+ * hashed line by line.  A hashed op scans only the records in its
+ * reach, at most kScopeRuns of them (scopeTo()).
  */
 class FirstTouchSet
 {
   public:
+    /** A run record: the lines lo + k*step, k < count. */
+    struct Run
+    {
+        Addr lo = 0;
+        std::uint64_t step = 1;
+        std::uint64_t count = 0;
+        LineLattice lines;
+        /** Hashed ops' inserts that may still scan it (see scopeTo()). */
+        std::uint64_t scans = 0;
+        std::uint64_t id = 0;
+
+        Addr hi() const { return lo + lines.span; }
+
+        /** True when every line first + k*step (k < n) is held. */
+        bool
+        holds(Addr first, std::uint64_t stride, std::uint64_t n) const
+        {
+            return n == 0 ||
+                   (lines.indexOf(first) != LineLattice::kNone &&
+                    lines.indexOf(first + stride * (n - 1)) !=
+                        LineLattice::kNone &&
+                    (n == 1 || stride % step == 0));
+        }
+    };
+
+    /** Records kept before the oldest is hashed. */
+    static constexpr std::size_t kMaxRuns = 16;
+    /** Records a hashed op scans per insert. */
+    static constexpr std::size_t kScopeRuns = 4;
+    /**
+     * Scans a record may take per line before it is hashed: about what
+     * hashing a line costs, in scans (measured on XOR-mapped VCM
+     * traces, whose walked ops all hash past a cold pass's record).
+     */
+    static constexpr std::uint64_t kScansPerLine = 8;
+
     /** @return true when `line` is new to the set */
     bool
     insert(Addr line)
     {
-        for (const LineLattice &r : runs)
-            if (r.indexOf(line) != LineLattice::kNone)
+        for (const Run &r : runs)
+            if (r.lines.indexOf(line) != LineLattice::kNone)
                 return false;
-        lo = std::min(lo, line);
-        hi = std::max(hi, line);
-        return lines.insert(line);
+        return hash(line);
     }
 
     /**
-     * Add the lines first + i*step (i < count; step > 0, no wrap), none
-     * of which is in the set: a record while there is room, else line
-     * by line.
+     * Before a hashed op whose reads all lie in [first, last]: scope
+     * its inserts to the records in that reach.  Past kScopeRuns the
+     * oldest are hashed, and so is a record once its scans have cost
+     * about what hashing its lines would (kScansPerLine): rent, then
+     * buy, so a record scanned by many misses costs at most about
+     * twice the cheaper of the two.
+     */
+    void
+    scopeTo(Addr first, Addr last)
+    {
+        reachLo = first;
+        reachHi = last;
+        buildScope();
+    }
+
+    /**
+     * Before a hashed op: its first insert must scopeTo() its reach,
+     * unless no record is held.
+     */
+    void
+    unscope()
+    {
+        if (scoped != kStale)
+            chargeScope();
+        scoped = runs.empty() ? 0 : kStale;
+    }
+
+    /** True when the current op must scopeTo() before its inserts. */
+    bool scopeStale() const { return scoped == kStale; }
+
+    /** True when the current op's scope holds no record. */
+    bool scopeEmpty() const { return scoped == 0; }
+
+    /** insertScoped() when scopeEmpty(): a plain hashed insert. */
+    bool
+    insertUnscoped(Addr line)
+    {
+        return hash(line);
+    }
+
+    /** insert() for a line in the last scopeTo()'s reach. */
+    bool
+    insertScoped(Addr line)
+    {
+        if (scoped != 0 && scopeHolds(line))
+            return false;
+        return hash(line);
+    }
+
+    /**
+     * Add the lines lo + k*step (k < count; step > 0, no wrap) as a
+     * record: extending a record it continues, and not at all when one
+     * record holds them already.
      */
     void
     insertRun(Addr first, std::uint64_t step, std::uint64_t count)
     {
-        if (runs.size() == kMaxRuns) {
-            for (std::uint64_t i = 0; i < count; ++i)
-                insert(first + step * i);
+        if (count == 0)
             return;
+        runsLo = std::min(runsLo, first);
+        runsHi = std::max(runsHi, first + step * (count - 1));
+        for (Run &r : runs) {
+            if (r.holds(first, step, count))
+                return;
+            if (r.step != step)
+                continue;
+            if (first == r.hi() + step) {
+                r = makeRun(r.lo, step, r.count + count, r.id);
+                return;
+            }
+            if (first + step * count == r.lo) {
+                r = makeRun(first, step, r.count + count, r.id);
+                return;
+            }
         }
-        const LineLattice r = LineLattice::of(first, step, count);
-        runs.push_back(r);
-        lo = std::min(lo, first);
-        hi = std::max(hi, first + r.span);
+        runs.push_back(makeRun(first, step, count, ++lastId));
+        if (runs.size() > kMaxRuns)
+            spill(0);
     }
 
     /** True when no line in [first, last] can be in the set. */
     bool
     disjoint(Addr first, Addr last) const
     {
-        return last < lo || first > hi;
+        return (last < runsLo || first > runsHi) &&
+               hashedDisjoint(first, last);
     }
 
-    /** Room for `n` more lines inserted one by one. */
-    void reserve(std::size_t n) { lines.reserve(lines.size() + n); }
+    /** True when no hashed line lies in [first, last]. */
+    bool
+    hashedDisjoint(Addr first, Addr last) const
+    {
+        return last < hashedLo || first > hashedHi;
+    }
+
+    /** The run records, oldest first. */
+    std::span<const Run> records() const { return runs; }
+
+    /** Lines in the FlatSet. */
+    std::size_t hashedLines() const { return lines.size(); }
+
+    /**
+     * Room for `n` more hashed lines, allocated at the next hashed
+     * insert.
+     */
+    void reserve(std::size_t n) { lines.reserveOnGrowth(n); }
 
     void
     clear()
     {
         lines.clear();
         runs.clear();
-        lo = ~Addr{0};
-        hi = 0;
+        scoped = 0;
+        scopeInserts = 0;
+        scopeBudget = ~std::uint64_t{0};
+        runsLo = hashedLo = ~Addr{0};
+        runsHi = hashedHi = 0;
     }
 
   private:
-    /** Run records kept before runs go in line by line. */
-    static constexpr std::size_t kMaxRuns = 4;
+    /** `scoped` between unscope() and scopeTo(). */
+    static constexpr std::size_t kStale = ~std::size_t{0};
+
+    static Run
+    makeRun(Addr first, std::uint64_t step, std::uint64_t count,
+            std::uint64_t id)
+    {
+        return {first, step, count, LineLattice::of(first, step, count),
+                kScansPerLine * count, id};
+    }
+
+    /** True when a scoped record holds `line`; charges the scan. */
+    bool
+    scopeHolds(Addr line)
+    {
+        if (scopeInserts == scopeBudget) [[unlikely]]
+            rescope();
+        ++scopeInserts;
+        for (std::size_t r = 0; r < scoped; ++r)
+            if (scope[r].indexOf(line) != LineLattice::kNone)
+                return true;
+        return false;
+    }
+
+    /** Charge the scope and rebuild it, hashing exhausted records. */
+    [[gnu::noinline]] void
+    rescope()
+    {
+        chargeScope();
+        buildScope();
+    }
+
+    /** Charge the current scope's inserts to its records. */
+    void
+    chargeScope()
+    {
+        for (std::size_t k = 0; k < scoped; ++k)
+            for (Run &r : runs)
+                if (r.id == scopeIds[k])
+                    r.scans -= std::min(r.scans, scopeInserts);
+        scopeInserts = 0;
+    }
+
+    /** Scope the records in [reachLo, reachHi] (see scopeTo()). */
+    void
+    buildScope()
+    {
+        scoped = 0;
+        scopeBudget = ~std::uint64_t{0};
+        for (std::size_t r = runs.size(); r-- > 0;) {
+            const Run &run = runs[r];
+            if (run.hi() < reachLo || run.lo > reachHi)
+                continue;
+            if (scoped == kScopeRuns || run.scans == 0) {
+                spill(r);
+                continue;
+            }
+            scope[scoped] = run.lines;
+            scopeIds[scoped++] = run.id;
+            scopeBudget = std::min(scopeBudget, run.scans);
+        }
+    }
+
+    bool
+    hash(Addr line)
+    {
+        hashedLo = std::min(hashedLo, line);
+        hashedHi = std::max(hashedHi, line);
+        return lines.insert(line);
+    }
+
+    /** Move record `r`'s lines into the FlatSet. */
+    void
+    spill(std::size_t r)
+    {
+        const Run run = runs[r];
+        runs.erase(runs.begin() + static_cast<std::ptrdiff_t>(r));
+        for (std::uint64_t k = 0; k < run.count; ++k)
+            hash(run.lo + run.step * k);
+    }
 
     FlatSet<Addr> lines;
-    std::vector<LineLattice> runs;
-    /** The extent; empty as [~0, 0]. */
-    Addr lo = ~Addr{0};
-    Addr hi = 0;
+    std::vector<Run> runs;
+    /**
+     * The current hashed op's reach, the records in it, and the
+     * inserts that scanned them, up to the fewest scans any has left.
+     */
+    Addr reachLo = 0;
+    Addr reachHi = 0;
+    LineLattice scope[kScopeRuns];
+    std::uint64_t scopeIds[kScopeRuns] = {};
+    std::size_t scoped = 0;
+    std::uint64_t scopeInserts = 0;
+    std::uint64_t scopeBudget = ~std::uint64_t{0};
+    std::uint64_t lastId = 0;
+    /** The extents of the records' lines and of the hashed ones;
+     *  empty as [~0, 0]. */
+    Addr runsLo = ~Addr{0};
+    Addr runsHi = 0;
+    Addr hashedLo = ~Addr{0};
+    Addr hashedHi = 0;
 };
 
 /**
@@ -471,7 +706,7 @@ class CcWalker
              std::span<CcLane> lanes, const CcWalkOptions &opts,
              Observer &obs, CcSoloState *solo = nullptr)
         : cache(cache), touched(touched), lanes(lanes), opts(opts),
-          obs(obs), solo(solo)
+          obs(obs), solo(solo), hashedAtStart(touched.hashedLines())
     {
     }
 
@@ -546,10 +781,17 @@ class CcWalker
         }
     }
 
+    /** Which path answered each op, and the lines hashed so far. */
+    CcPathCounts
+    pathCounts() const
+    {
+        CcPathCounts p = paths;
+        p.hashedLines = touched.hashedLines() - hashedAtStart;
+        return p;
+    }
+
     /** Lane-independent results so far (the two cycle fields unused). */
     SimResult counts;
-    /** Which path answered each op. */
-    CcPathCounts paths;
     /**
      * Elements walked or filled cold, rather than answered by the
      * canonical closed form or replayed from the memo.
@@ -575,8 +817,38 @@ class CcWalker
     /** Verification attempts before an op is refused. */
     static constexpr unsigned kVerifyAttempts = 3;
 
-    /** Elements probed per gang (halved per stream when double). */
+    /** Elements probed per single-stream gang. */
     static constexpr unsigned kGang = 32;
+
+    /** Reads a walk needs before its classification repays itself. */
+    static constexpr std::uint64_t kMinClassifiedReads = 64;
+
+    /** A classified read's first-touch answer (see classify()). */
+    static constexpr std::uint8_t kFirst = 0;
+    static constexpr std::uint8_t kTouched = 1;
+
+    /**
+     * One classified stream's answers: every read touched when one
+     * record holds the whole stream, else a mark per read.
+     */
+    struct StreamTouches
+    {
+        bool held = false;
+        std::vector<std::uint8_t> marks;
+
+        bool
+        firstTouch(std::uint64_t k) const
+        {
+            return !held && marks[k] == kFirst;
+        }
+
+        void
+        mark(std::uint64_t k)
+        {
+            if (!held)
+                marks[k] = kTouched;
+        }
+    };
 
     static constexpr bool kSteadyMapped =
         std::is_same_v<CacheT, DirectMappedCache> ||
@@ -1086,14 +1358,15 @@ class CcWalker
     }
 
     /**
-     * Walk one gang from its exact hit mask: credit each run of hits
-     * in bulk and read only the misses, in issue order.
-     *
-     * @return the address after the gang
+     * Walk one gang, from first-stream element k, by its exact hit
+     * mask: credit each run of hits in bulk and read only the misses,
+     * in issue order.
      */
-    Addr
+    template <bool Classified>
+    void
     walkExactMask(CacheT &cache, const AddressLayout &layout, Addr a,
-                  std::int64_t stride, std::uint32_t hits, unsigned g)
+                  std::int64_t stride, std::uint32_t hits, unsigned g,
+                  std::uint64_t k)
     {
         ++paths.exactMaskGangs;
         for (unsigned j = 0; j < g; ++j) {
@@ -1107,11 +1380,11 @@ class CcWalker
                     break;
             }
             EvictionLog none;
-            access<false>(cache, layout, a, StreamOperand::First, false,
-                          none);
+            access<false, Classified>(cache, layout, a,
+                                      StreamOperand::First, false, none,
+                                      k + j);
             a += static_cast<std::uint64_t>(stride);
         }
-        return a;
     }
 
     /** Credit n inert read hits in bulk. */
@@ -1124,9 +1397,158 @@ class CcWalker
         sink().add({.hits = n});
     }
 
+    /** The lines [first, last] of `ref`'s first n elements. */
+    std::pair<Addr, Addr>
+    lineExtent(const VectorRef &ref, std::uint64_t n) const
+    {
+        if (n == 0)
+            return {~Addr{0}, 0};
+        if (!spansWithoutWrap(ref.base, ref.stride, n))
+            return {0, ~Addr{0}};
+        const AddressLayout &layout = cache.addressLayout();
+        const Addr head = layout.lineAddress(ref.base);
+        const Addr tail = layout.lineAddress(ref.element(n - 1));
+        return {std::min(head, tail), std::max(head, tail)};
+    }
+
+    /**
+     * Whether a walk's reads can be classified (see the file
+     * comment): the paper's mappings with one-word lines, a non-zero
+     * stride and no wrap on each stream, no hashed line in either
+     * stream's reach, and enough reads to repay it.
+     */
+    bool
+    classifiable(const VectorOp &op, std::uint64_t end,
+                 std::uint64_t second_reads) const
+    {
+        if constexpr (!kSteadyMapped || kElementWise)
+            return false;
+        const auto fits = [this](const VectorRef &ref, std::uint64_t n) {
+            const auto [first, last] = lineExtent(ref, n);
+            return ref.stride != 0 &&
+                   spansWithoutWrap(ref.base, ref.stride, n) &&
+                   touched.hashedDisjoint(first, last);
+        };
+        return end + second_reads >= kMinClassifiedReads &&
+               opts.fastPaths &&
+               cache.addressLayout().offsetBits() == 0 &&
+               fits(op.first, end) &&
+               (second_reads == 0 || fits(*op.second, second_reads));
+    }
+
+    /**
+     * Classify the first-touch answer of each read of a walk over the
+     * first `end` elements of the first stream and `second_reads` of
+     * the second (see the file comment), into firstTouches and
+     * secondTouches.
+     *
+     * @return false, having done nothing, when the walk does not
+     *         qualify
+     */
+    bool
+    classify(const VectorOp &op, std::uint64_t end,
+             std::uint64_t second_reads)
+    {
+        if (!classifiable(op, end, second_reads))
+            return false;
+        ++paths.classifiedOps;
+        markTouched(op.first, end, firstTouches);
+        if (second_reads == 0)
+            return true;
+        const VectorRef &y = *op.second;
+        markTouched(y, second_reads, secondTouches);
+        // x_i == y_k: the later of the two reads is not a first touch,
+        // and x_i issues first when i <= k.
+        const ProgressionMeets m =
+            progressionMeets(op.first.base, op.first.stride, end, y.base,
+                             y.stride, second_reads);
+        std::uint64_t i = m.i0;
+        std::uint64_t k = m.k0;
+        for (std::uint64_t u = 0; u < m.count; ++u, i += m.di, k += m.dk) {
+            if (i <= k)
+                secondTouches.mark(k);
+            else
+                firstTouches.mark(i);
+        }
+        return true;
+    }
+
+    /**
+     * Mark each of `ref`'s first n reads whose line a run record
+     * holds: all of them at once, with no mark, when one record holds
+     * the whole stream.
+     */
+    void
+    markTouched(const VectorRef &ref, std::uint64_t n, StreamTouches &t)
+    {
+        const auto [first, last] = lineExtent(ref, n);
+        const std::uint64_t step = magnitude(ref.stride);
+        const std::span<const FirstTouchSet::Run> records =
+            touched.records();
+        t.held = std::any_of(records.begin(), records.end(),
+                             [&](const FirstTouchSet::Run &r) {
+                                 return r.holds(first, step, n);
+                             });
+        if (t.held)
+            return;
+        t.marks.assign(n, kFirst);
+        for (const FirstTouchSet::Run &r : records) {
+            if (r.hi() < first || r.lo > last)
+                continue;
+            const ProgressionMeets m = progressionMeets(
+                ref.base, ref.stride, n, r.lo, r.step, r.count);
+            std::uint64_t i = m.i0;
+            for (std::uint64_t u = 0; u < m.count; ++u, i += m.di)
+                t.marks[i] = kTouched;
+        }
+    }
+
+    /**
+     * Ask the first-touch set about a read of an unclassified walk,
+     * scoping the set to the walk's reach at its first miss.
+     */
+    VCACHE_ALWAYS_INLINE bool
+    hashRead(Addr line)
+    {
+        return touched.scopeEmpty() ? touched.insertUnscoped(line)
+                                    : hashScoped(line);
+    }
+
+    /** hashRead() with records in scope, or a scope to build. */
+    [[gnu::noinline]] bool
+    hashScoped(Addr line)
+    {
+        if (touched.scopeStale()) {
+            const VectorOp &op = *hashed.op;
+            auto [first, last] = lineExtent(op.first, hashed.end);
+            if (hashed.secondReads != 0) {
+                const auto [f2, l2] =
+                    lineExtent(*op.second, hashed.secondReads);
+                first = std::min(first, f2);
+                last = std::max(last, l2);
+            }
+            touched.scopeTo(first, last);
+        }
+        return touched.insertScoped(line);
+    }
+
+    /** Record a classified stream that read a line first. */
+    void
+    recordStream(const VectorRef &ref, const StreamTouches &t)
+    {
+        if (t.held ||
+            std::find(t.marks.begin(), t.marks.end(), kFirst) ==
+                t.marks.end())
+            return;
+        const std::uint64_t n = t.marks.size();
+        touched.insertRun(lineExtent(ref, n).first, magnitude(ref.stride),
+                          n);
+    }
+
     /**
      * One op's strip-mined element loop, with the gang probe, over its
-     * first `end` elements (a strip head, or the whole op).
+     * first `end` elements (a strip head, or the whole op), its first
+     * touches classified up front when classify() takes the walk.
      *
      * `Log` walks the head of a tail the walker answers next (closed
      * or cold), logging the evictions of its second-stream reads, and
@@ -1141,19 +1563,126 @@ class CcWalker
     stripLoop(const VectorOp &op, std::uint64_t end,
               bool log_first = false)
     {
+        const std::uint64_t second_reads =
+            op.second ? std::min(op.second->length, end) : 0;
+        EvictionLog log;
+        if constexpr (Log)
+            log = openLog((log_first ? end : 0) + second_reads);
+        walkedElements += end;
+        if constexpr (kSteadyMapped && !kElementWise) {
+            if (end + second_reads >= kMinClassifiedReads &&
+                classify(op, end, second_reads)) {
+                walkStrips<Log, true>(op, end, second_reads, log_first,
+                                      log);
+                recordStream(op.first, firstTouches);
+                if (second_reads != 0)
+                    recordStream(*op.second, secondTouches);
+                return;
+            }
+        }
+        hashed = {&op, end, second_reads};
+        touched.unscope();
+        walkStrips<Log, false>(op, end, second_reads, log_first, log);
+    }
+
+    /**
+     * stripLoop()'s element loop; `Classified` picks its first
+     * touches.  The strips that read both streams come first, then the
+     * single-stream strips, the only ones probed: two loops, each kept
+     * small enough to stay tight.
+     */
+    template <bool Log, bool Classified>
+    void
+    walkStrips(const VectorOp &op, std::uint64_t end,
+               std::uint64_t second_reads, bool log_first, EvictionLog log)
+    {
+        std::uint64_t split = 0;
+        if (second_reads != 0)
+            log = doubleStrips<Log, Classified>(op, end, second_reads,
+                                                log_first, log, split);
+        if (split < end)
+            log = singleStrips<Log, Classified>(op.first, split, end,
+                                                log_first, log);
+        if constexpr (Log)
+            canon.logged = log.logged;
+    }
+
+    /** Count strip `ref`[done]'s start-up; @return its head's residency. */
+    bool
+    stripStart(const VectorRef &ref, std::uint64_t done)
+    {
+        const bool warm = containsWord(cache, ref.element(done));
+        if (warm) {
+            ++warmStrips;
+            sink().add({.warmStrips = 1});
+        } else {
+            ++coldStrips;
+            sink().add({.coldStrips = 1});
+        }
+        return warm;
+    }
+
+    /**
+     * The strips below `end` that read both streams, in issue order;
+     * `split` receives the first strip past them.  The log is passed
+     * by value, so the hot loop keeps it in registers.
+     *
+     * @return the log after the strips
+     */
+    template <bool Log, bool Classified>
+    [[gnu::noinline]] EvictionLog
+    doubleStrips(const VectorOp &op, std::uint64_t end,
+                 std::uint64_t second_reads, bool log_first,
+                 EvictionLog log, std::uint64_t &split)
+    {
         // Locals, not members: the tag array's byte-wide stores may
         // alias any member, which would force reloads per element.
         CacheT &cache = this->cache;
         const AddressLayout &layout = cache.addressLayout();
-        EvictionLog log;
-        if constexpr (Log) {
-            const std::uint64_t second_reads =
-                op.second ? std::min(op.second->length, end) : 0;
-            log = openLog((log_first ? end : 0) + second_reads);
-        }
-        walkedElements += end;
         const std::int64_t s1 = op.first.stride;
-        const std::int64_t s2 = op.second ? op.second->stride : 0;
+        const std::int64_t s2 = op.second->stride;
+        std::uint64_t done = 0;
+        for (; done < end && done < second_reads; done += opts.mvl) {
+            stripStart(op.first, done);
+            const std::uint64_t count =
+                std::min<std::uint64_t>(opts.mvl, op.first.length - done);
+            // The second stream may end inside the strip.
+            const std::uint64_t pairs =
+                std::min(count, second_reads - done);
+            Addr a1 = op.first.element(done);
+            Addr a2 = op.second->element(done);
+            for (std::uint64_t j = 0; j < count; ++j) {
+                access<Log, Classified>(cache, layout, a1,
+                                        StreamOperand::First, log_first,
+                                        log, done + j);
+                a1 = static_cast<Addr>(static_cast<std::int64_t>(a1) + s1);
+                if (j < pairs) {
+                    access<Log, Classified>(cache, layout, a2,
+                                            StreamOperand::Second, true,
+                                            log, done + j);
+                    a2 = static_cast<Addr>(static_cast<std::int64_t>(a2) +
+                                           s2);
+                }
+            }
+            counts.results += count;
+        }
+        split = done;
+        return log;
+    }
+
+    /**
+     * Single-stream strips [from, end) of `x`, with the gang probe.
+     *
+     * @return the log after the strips (see doubleStrips())
+     */
+    template <bool Log, bool Classified>
+    [[gnu::noinline]] EvictionLog
+    singleStrips(const VectorRef &x, std::uint64_t from, std::uint64_t end,
+                 bool log_first, EvictionLog log)
+    {
+        CacheT &cache = this->cache;
+        const AddressLayout &layout = cache.addressLayout();
+        const std::int64_t s1 = x.stride;
         bool gang_probe = false;
         if constexpr (!kElementWise)
             gang_probe = opts.fastPaths && cache.readHitsAreInert();
@@ -1161,107 +1690,64 @@ class CcWalker
         // shorter than the frame period has no two elements in one
         // frame, so its misses cannot change the other elements'
         // outcomes and the probe's mask holds across the whole gang.
-        // A double-stream op's strips past its second stream qualify
-        // too.
         bool exact_mask = false;
         if constexpr (kSteadyMapped)
             exact_mask = gang_probe && layout.offsetBits() == 0 &&
-                         spansWithoutWrap(op.first.base, s1,
-                                          op.first.length) &&
+                         spansWithoutWrap(x.base, s1, x.length) &&
                          steadyRunPeriod(cache.numLines(), s1) >= kGang;
-
-        for (std::uint64_t done = 0; done < end; done += opts.mvl) {
-            Addr a1 = op.first.element(done);
-            const bool warm = containsWord(cache, a1);
-            if (warm) {
-                ++warmStrips;
-                sink().add({.warmStrips = 1});
-            } else {
-                ++coldStrips;
-                sink().add({.coldStrips = 1});
-            }
-
+        const std::uint64_t max_g = gang_probe ? kGang : opts.mvl;
+        for (std::uint64_t done = from; done < end; done += opts.mvl) {
+            const bool warm = stripStart(x, done);
             const std::uint64_t count =
-                std::min<std::uint64_t>(opts.mvl, op.first.length - done);
-            // The second stream is shorter: strips past its end are
-            // single-stream strips.
-            const VectorRef *second =
-                op.second && done < op.second->length
-                    ? &op.second.value()
-                    : nullptr;
-            // Double-stream gangs interleave two streams into one
-            // mask, so halve the stream-1 gang to fit.
-            const std::uint64_t max_g =
-                !gang_probe ? count : second ? kGang / 2 : kGang;
-            Addr a2 = second ? second->element(done) : 0;
+                std::min<std::uint64_t>(opts.mvl, x.length - done);
+            Addr a1 = x.element(done);
             for (std::uint64_t i = 0; i < count;) {
                 const unsigned g = static_cast<unsigned>(
                     std::min<std::uint64_t>(max_g, count - i));
-                const std::uint64_t second_left =
-                    second && second->length > done + i
-                        ? second->length - (done + i)
-                        : 0;
+                const std::uint64_t k = done + i;
                 // The probe is side-effect-free and hits are inert, so
-                // an all-hit gang of k reads is exactly k hit
+                // an all-hit gang of g reads is exactly g hit
                 // iterations.  A gang whose head misses is likely to
                 // miss throughout, so skip its probe; at the strip head
                 // `warm` already holds that residency.
-                if (gang_probe &&
-                    (i == 0 ? warm : containsWord(cache, a1))) {
-                    std::uint32_t hits =
-                        probeStrideGang(cache, a1, s1, g);
-                    unsigned g2 = 0;
-                    if (second) {
-                        g2 = static_cast<unsigned>(
-                            std::min<std::uint64_t>(g, second_left));
-                        hits |= probeStrideGang(cache, a2, s2, g2) << g;
-                    }
-                    const unsigned total = g + g2;
-                    if (hits == simd::fullMask(total)) {
-                        creditHits(cache, total);
-                        counts.results += g;
-                        i += g;
-                        a1 = static_cast<Addr>(
-                            static_cast<std::int64_t>(a1) + s1 * g);
-                        a2 = static_cast<Addr>(
-                            static_cast<std::int64_t>(a2) + s2 * g);
-                        continue;
-                    }
-                    if (exact_mask && !second) {
-                        a1 = walkExactMask(cache, layout, a1, s1, hits, g);
-                        counts.results += g;
-                        i += g;
-                        continue;
+                const bool probed =
+                    gang_probe && (i == 0 ? warm : containsWord(cache, a1));
+                const std::uint32_t hits =
+                    probed ? probeStrideGang(cache, a1, s1, g) : 0;
+                if (probed && hits == simd::fullMask(g)) {
+                    creditHits(cache, g);
+                } else if (probed && exact_mask) {
+                    walkExactMask<Classified>(cache, layout, a1, s1, hits,
+                                              g, k);
+                } else {
+                    // Element-at-a-time replay in issue order.
+                    Addr a = a1;
+                    for (unsigned j = 0; j < g; ++j) {
+                        access<Log, Classified>(cache, layout, a,
+                                                StreamOperand::First,
+                                                log_first, log, k + j);
+                        a = static_cast<Addr>(
+                            static_cast<std::int64_t>(a) + s1);
                     }
                 }
-                // Element-at-a-time replay in true issue order.  The
-                // gang's results and position are credited after it,
-                // which keeps the loop counter in a register.
-                for (unsigned j = 0; j < g; ++j) {
-                    access<Log>(cache, layout, a1, StreamOperand::First,
-                                log_first, log);
-                    a1 = static_cast<Addr>(
-                        static_cast<std::int64_t>(a1) + s1);
-                    if (j < second_left) {
-                        access<Log>(cache, layout, a2,
-                                    StreamOperand::Second, true, log);
-                        a2 = static_cast<Addr>(
-                            static_cast<std::int64_t>(a2) + s2);
-                    }
-                }
+                a1 = static_cast<Addr>(static_cast<std::int64_t>(a1) +
+                                       s1 * g);
                 counts.results += g;
                 i += g;
             }
         }
-        if constexpr (Log)
-            canon.logged = log.logged;
+        return log;
     }
 
-    /** One element read; its eviction goes to `log` when `logged`. */
-    template <bool Log>
+    /**
+     * One element read, the k-th of its stream; its eviction goes to
+     * `log` when `logged`.
+     */
+    template <bool Log, bool Classified>
     VCACHE_ALWAYS_INLINE void
     access(CacheT &cache, const AddressLayout &layout, Addr addr,
-           StreamOperand operand, bool logged, EvictionLog &log)
+           StreamOperand operand, bool logged, EvictionLog &log,
+           std::uint64_t k)
     {
         const Addr line = layout.lineAddress(addr);
         const AccessOutcome outcome = probeLine(cache, line);
@@ -1276,7 +1762,14 @@ class CcWalker
         }
 
         ++counts.misses;
-        const bool first_touch = touched.insert(line);
+        // A miss reads the walk's classification, or asks the set.
+        bool first_touch = false;
+        if constexpr (Classified)
+            first_touch = (operand == StreamOperand::First ? firstTouches
+                                                          : secondTouches)
+                              .firstTouch(k);
+        else
+            first_touch = hashRead(line);
         if (first_touch) {
             ++counts.compulsoryMisses;
             if constexpr (Lanes == LaneCount::Zero) {
@@ -1309,7 +1802,7 @@ class CcWalker
     }
 
     /** A compulsory or non-blocking miss: every lane issues it. */
-    void
+    VCACHE_ALWAYS_INLINE void
     coupledMiss(Addr addr, Addr line, bool first_touch,
                 StreamOperand operand)
     {
@@ -1423,6 +1916,20 @@ class CcWalker
     std::uint64_t warmStrips = 0;
     Memo memo;
     Canonical canon;
+    /** Which path answered each op (see pathCounts()). */
+    CcPathCounts paths;
+    std::size_t hashedAtStart;
+    /** An unclassified walk's reads, scoped at its first miss. */
+    struct HashedWalk
+    {
+        const VectorOp *op = nullptr;
+        std::uint64_t end = 0;
+        std::uint64_t secondReads = 0;
+    };
+    HashedWalk hashed;
+    /** A classified walk's answers, per stream. */
+    StreamTouches firstTouches;
+    StreamTouches secondTouches;
 };
 
 } // namespace vcache

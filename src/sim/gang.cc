@@ -53,7 +53,7 @@ runGang(const MachineParams &base, CacheT &cache, TraceSource &source,
     }
     walker.flush();
     if (paths)
-        *paths = walker.paths;
+        *paths = walker.pathCounts();
 
     std::vector<Expected<SimResult>> out;
     out.reserve(lanes.size());

@@ -39,8 +39,8 @@ struct SimResult
 /**
  * Which path of the CC walker (sim/cc_walker.hh) answered each vector
  * op of a walk, and what its gang probes credited in bulk.  Every op
- * lands in exactly one of the five op counters; the tail counters
- * count within the walked ones.  Plain counters, not
+ * lands in exactly one of the five op counters; the tail and
+ * classified counters count within the walked ones.  Plain counters, not
  * Observer hooks: an observer forces element-wise replay.  They let a
  * differential test show that the fast path it pins really fired.
  */
@@ -67,6 +67,10 @@ struct CcPathCounts
     std::uint64_t gangHits = 0;
     /** Gangs whose misses were walked alone, from an exact hit mask. */
     std::uint64_t exactMaskGangs = 0;
+    /** Walks whose reads' first touches were classified up front. */
+    std::uint64_t classifiedOps = 0;
+    /** Lines hashed into the first-touch set's FlatSet. */
+    std::uint64_t hashedLines = 0;
 
     std::uint64_t
     ops() const
@@ -87,6 +91,8 @@ struct CcPathCounts
         coldTails += o.coldTails;
         gangHits += o.gangHits;
         exactMaskGangs += o.exactMaskGangs;
+        classifiedOps += o.classifiedOps;
+        hashedLines += o.hashedLines;
     }
 };
 

@@ -319,7 +319,7 @@ class FlatSet
             return fresh;
         }
         if ((count + 1) * 2 > slots.size())
-            rehash(std::max(kMinCapacity, slots.size() * 2));
+            grow();
         const std::size_t i = probe(key);
         if (slots[i] == key)
             return false;
@@ -380,6 +380,13 @@ class FlatSet
         if (want > slots.size())
             rehash(want);
     }
+
+    /**
+     * reserve(size() + n), put off until an insert first needs to
+     * grow the table: a set that may never be filled costs nothing
+     * until it is.
+     */
+    void reserveOnGrowth(std::size_t n) { growTo = size() + n; }
 
     /** Drop every entry but keep the table's capacity; O(1) when
      *  already empty. */
@@ -451,6 +458,15 @@ class FlatSet
     /** Home slot of `key` in the current table. */
     std::size_t slotOf(Key key) const { return hash(key) >> shift; }
 
+    /** Double the table, or take a pending reserveOnGrowth() size. */
+    [[gnu::noinline]] void
+    grow()
+    {
+        rehash(std::max({kMinCapacity, slots.size() * 2,
+                         std::bit_ceil(2 * growTo)}));
+        growTo = 0;
+    }
+
     /** Move every key into a fresh table of `capacity` slots. */
     void
     rehash(std::size_t capacity)
@@ -470,6 +486,8 @@ class FlatSet
     }
 
     std::vector<Key> slots;
+    /** A reserveOnGrowth() size not yet allocated. */
+    std::size_t growTo = 0;
     /** Live entries in `slots` (the out-of-band kEmpty excluded). */
     std::size_t count = 0;
     /** flatSlotShift(capacity()), refreshed on every rehash. */

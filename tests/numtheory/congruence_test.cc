@@ -4,7 +4,9 @@
 
 #include <limits>
 #include <set>
+#include <string>
 #include <tuple>
+#include <vector>
 
 #include "numtheory/congruence.hh"
 #include "util/rng.hh"
@@ -132,6 +134,89 @@ meetBruteForce(std::uint64_t a, std::int64_t s, std::uint64_t n,
         if (seen.count(b + static_cast<std::uint64_t>(t) * k))
             return true;
     return false;
+}
+
+/**
+ * Check progressionMeets() against enumeration: its matches are every
+ * index of A whose value B holds, ascending, each paired with an index
+ * of B holding the same value.
+ */
+void
+expectMeetsEnumerated(std::uint64_t a, std::int64_t s, std::uint64_t n,
+                      std::uint64_t b, std::int64_t t, std::uint64_t m)
+{
+    const auto at = [](std::uint64_t base, std::int64_t stride,
+                       std::uint64_t i) {
+        return base + static_cast<std::uint64_t>(stride) * i;
+    };
+    std::set<std::uint64_t> in_b;
+    for (std::uint64_t k = 0; k < m; ++k)
+        in_b.insert(at(b, t, k));
+    std::vector<std::uint64_t> want;
+    for (std::uint64_t i = 0; i < n; ++i)
+        if (in_b.count(at(a, s, i)))
+            want.push_back(i);
+
+    const ProgressionMeets got = progressionMeets(a, s, n, b, t, m);
+    const std::string where = "a " + std::to_string(a) + " s " +
+                              std::to_string(s) + " n " +
+                              std::to_string(n) + " b " +
+                              std::to_string(b) + " t " +
+                              std::to_string(t) + " m " +
+                              std::to_string(m);
+    ASSERT_EQ(got.count, want.size()) << where;
+    std::uint64_t i = got.i0;
+    std::uint64_t k = got.k0;
+    for (std::uint64_t u = 0; u < got.count; ++u, i += got.di, k += got.dk) {
+        ASSERT_EQ(i, want[u]) << where << " match " << u;
+        ASSERT_LT(k, m) << where << " match " << u;
+        ASSERT_EQ(at(a, s, i), at(b, t, k)) << where << " match " << u;
+    }
+    EXPECT_EQ(progressionsMeet(a, s, n, b, t, m), !want.empty()) << where;
+}
+
+TEST(ProgressionMeets, EnumeratesEveryMatchInOrder)
+{
+    Rng rng(23);
+    // Both stride signs, shared factors (gcd > 1), zero strides and
+    // lengths, bases low and near 2^64; the extents fall disjoint,
+    // touching and nested.
+    constexpr std::uint64_t kTop = ~std::uint64_t{0};
+    for (int trial = 0; trial < 20000; ++trial) {
+        const bool high = trial % 2 == 1;
+        const auto stride = [&rng] {
+            const std::int64_t f =
+                static_cast<std::int64_t>(1 + rng.next() % 4);
+            const std::int64_t s =
+                f * static_cast<std::int64_t>(rng.next() % 9);
+            return rng.bernoulli(0.4) ? -s : s;
+        };
+        const std::int64_t s = stride();
+        const std::int64_t t = stride();
+        const std::uint64_t n = rng.next() % 40;
+        const std::uint64_t m = rng.next() % 40;
+        // 39 strides of at most 32 fit below 1400 either way.
+        const auto base = [&rng, high](std::int64_t step) {
+            const std::uint64_t off = 1400 + rng.next() % 200;
+            const std::uint64_t b = high ? kTop - off : off;
+            return step < 0 ? b : b - 1400 * high;
+        };
+        const std::uint64_t a = base(s);
+        const std::uint64_t b = base(t);
+        ASSERT_TRUE(spansWithoutWrap(a, s, n));
+        ASSERT_TRUE(spansWithoutWrap(b, t, m));
+        expectMeetsEnumerated(a, s, n, b, t, m);
+    }
+    // Nested and touching runs of one stride class, both orders.
+    expectMeetsEnumerated(100, 3, 50, 130, 6, 10);
+    expectMeetsEnumerated(130, -6, 10, 100, 3, 50);
+    expectMeetsEnumerated(100, 4, 10, 136, -4, 10);
+    // Strides near 2^62, whose products overflow 64 bits, at the top
+    // of the address space.
+    const std::int64_t big = (std::int64_t{1} << 62) - 1;
+    expectMeetsEnumerated(0, big, 3, 0, 2 * big, 2);
+    expectMeetsEnumerated(2 * big, -big, 3, 0, big, 3);
+    expectMeetsEnumerated(kTop - 30, 3, 11, kTop, -5, 7);
 }
 
 TEST(ProgressionsMeet, MatchesBruteForce)

@@ -145,6 +145,23 @@ class BenchToJsonTest(unittest.TestCase):
         self.assertEqual(
             summary["cc_fresh_prime_b8192_scalar_elements_per_s"], 3e7)
 
+    def test_fft_keys(self):
+        raw = {"benchmarks": [
+            bench("BM_FftCcSimulator/direct_auto", 6e7, 1.0),
+            bench("BM_FftCcSimulator/direct_scalar", 5e7, 1.0),
+            bench("BM_FftCcSimulator/prime_auto", 4e7, 1.0),
+            bench("BM_FftCcSimulator/prime_scalar", 3e7, 1.0)]}
+        with tempfile.TemporaryDirectory() as d:
+            proc, out = run_script(raw, d)
+        self.assertEqual(proc.returncode, 0, proc.stderr)
+        summary = out["summary"]
+        self.assertEqual(summary["cc_fft_direct_elements_per_s"], 6e7)
+        self.assertEqual(summary["cc_fft_direct_scalar_elements_per_s"],
+                         5e7)
+        self.assertEqual(summary["cc_fft_prime_elements_per_s"], 4e7)
+        self.assertEqual(summary["cc_fft_prime_scalar_elements_per_s"],
+                         3e7)
+
     def test_missing_build_type_is_null_with_warning(self):
         raw = {"context": {"library_build_type": "debug"},
                "benchmarks": [bench("BM_X", 1.0, 1.0)]}

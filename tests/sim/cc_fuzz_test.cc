@@ -150,6 +150,8 @@ TEST(CcWalkerFuzz, EnginesMatchTheElementWiseWalk)
     EXPECT_GT(fired.canonicalOps, 0u);
     EXPECT_GT(fired.closedTails, 0u);
     EXPECT_GT(fired.memoOps, 0u);
+    EXPECT_GT(fired.classifiedOps, 0u);
+    EXPECT_GT(fired.hashedLines, 0u);
 }
 
 TEST(CcWalkerFuzz, SampledWindowsSumToTheExactRun)
@@ -195,9 +197,9 @@ TEST(FirstTouchSet, RunRecordsHoldExactlyTheirLines)
         std::set<Addr> model;
         constexpr Addr kStart = 1000;
         Addr frontier = kStart;
-        // More runs than the set keeps records for, so the rest go in
-        // line by line; odd, even and power-of-two steps.
-        for (int r = 0; r < 7; ++r) {
+        // More runs than the set keeps records for, so the oldest are
+        // hashed line by line; odd, even and power-of-two steps.
+        for (std::size_t r = 0; r < FirstTouchSet::kMaxRuns + 4; ++r) {
             const std::uint64_t step = 1 + rng.next() % 48;
             const std::uint64_t count = 1 + rng.next() % 40;
             const std::uint64_t span = step * (count - 1);
@@ -208,11 +210,27 @@ TEST(FirstTouchSet, RunRecordsHoldExactlyTheirLines)
             EXPECT_FALSE(set.disjoint(frontier, frontier)) << trial;
             frontier += span + 1 + rng.next() % 8;
         }
+        EXPECT_LE(set.records().size(), FirstTouchSet::kMaxRuns);
+        EXPECT_GT(set.hashedLines(), 0u) << trial;
         // insert() reports a line new exactly when the model lacks it.
         for (Addr a = kStart - 8; a < frontier + 8; ++a)
             ASSERT_EQ(set.insert(a), model.insert(a).second)
                 << "trial " << trial << " line " << a;
     }
+}
+
+/** First-stream reads in strips past each op's second stream. */
+std::uint64_t
+singleStreamStripReads(const Trace &trace, std::uint64_t mvl)
+{
+    std::uint64_t reads = 0;
+    for (const VectorOp &op : trace) {
+        const std::uint64_t n = op.first.length;
+        const std::uint64_t head =
+            op.second ? (op.second->length + mvl - 1) / mvl * mvl : 0;
+        reads += n > head ? n - head : 0;
+    }
+    return reads;
 }
 
 /**
@@ -241,8 +259,14 @@ pinnedPaths(const MachineParams &m, const CacheConfig &config,
     EXPECT_EQ(oracle.elementWiseOps, trace.size()) << label;
     EXPECT_EQ(oracle.gangHits, 0u) << label;
     EXPECT_EQ(oracle.exactMaskGangs, 0u) << label;
-    EXPECT_EQ(fast.pathCounts().ops(), trace.size()) << label;
-    return fast.pathCounts();
+    EXPECT_EQ(oracle.classifiedOps, 0u) << label;
+    const CcPathCounts &paths = fast.pathCounts();
+    EXPECT_EQ(paths.ops(), trace.size()) << label;
+    // Only single-stream strips are probed, so no gang credits more
+    // than their reads.
+    EXPECT_LE(paths.gangHits, singleStreamStripReads(trace, m.mvl))
+        << label;
+    return paths;
 }
 
 CacheConfig
@@ -402,6 +426,85 @@ TEST(CcWalkerPaths, PaperPointTakesTheClosedForms)
             EXPECT_GT(c.closedTails, 0u) << name;
         }
     }
+}
+
+TEST(CcWalkerPaths, PaperPointClassifiesEveryWalkAndHashesNoLine)
+{
+    // The workload of PaperPointTakesTheClosedForms.  Every walked op
+    // -- the heads of double-stream ops, re-walks, memo certification
+    // passes -- has its first touches classified from the run
+    // records, so the first-touch FlatSet never takes a line: solo,
+    // in gang lanes, and in the oracle, which classifies nothing.
+    VcmParams p;
+    p.blockingFactor = 8192;
+    p.reuseFactor = 8;
+    p.pDoubleStream = 0.2;
+    p.blocks = 2;
+    const MachineParams m = paperMachineM32();
+    for (const CacheScheme scheme :
+         {CacheScheme::Direct, CacheScheme::Prime}) {
+        for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+            const Trace trace = generateVcmTrace(p, seed);
+            const std::string label =
+                std::string(scheme == CacheScheme::Prime ? "prime"
+                                                         : "direct") +
+                " seed " + std::to_string(seed);
+            const CcPathCounts solo =
+                pinnedPaths(m, ccCacheConfig(m, scheme), trace, label);
+            EXPECT_GT(solo.classifiedOps, 0u) << label;
+            EXPECT_EQ(solo.classifiedOps,
+                      solo.elementWiseOps + solo.refusedOps)
+                << label;
+            EXPECT_EQ(solo.hashedLines, 0u) << label;
+
+            const GangLane lanes[] = {{16, nullptr}, {64, nullptr}};
+            TraceVectorSource source(trace);
+            CcPathCounts gang;
+            ASSERT_EQ(simulateCcGang(m, scheme, source, lanes, &gang).size(),
+                      2u);
+            EXPECT_EQ(gang.classifiedOps,
+                      gang.elementWiseOps + gang.refusedOps)
+                << label;
+            EXPECT_EQ(gang.hashedLines, 0u) << label;
+
+            CcSimulator scalar(m, scheme);
+            scalar.setEngine(SimEngine::Scalar);
+            scalar.run(trace);
+            EXPECT_EQ(scalar.pathCounts().classifiedOps, 0u) << label;
+            EXPECT_GT(scalar.pathCounts().hashedLines, 0u) << label;
+
+            // A seeded line inside the first block's first stream: no
+            // walk over that block can prove its reads classified, so
+            // those walks hash, and the second block's classify.
+            const Addr seeded = trace.front().first.element(100);
+            const CcPathCounts refused =
+                pinnedPaths(m, ccCacheConfig(m, scheme), trace,
+                            label + " seeded", {seeded});
+            EXPECT_LT(refused.classifiedOps,
+                      refused.elementWiseOps + refused.refusedOps)
+                << label;
+            EXPECT_GT(refused.classifiedOps, 0u) << label;
+            EXPECT_GT(refused.hashedLines, 0u) << label;
+        }
+    }
+}
+
+TEST(CcWalkerPaths, DoubleStreamStripsAreNotProbed)
+{
+    // Two resident double-stream ops, alternated so the memo never
+    // certifies them: every strip reads both streams, so no gang is
+    // probed, and all their hits are walked.
+    VectorOp a = singleOp(kBase, 1, 256);
+    a.second = VectorRef{kBase + 512, 1, 256};
+    VectorOp b = singleOp(kBase + 1024, 1, 256);
+    b.second = VectorRef{kBase + 2048, 1, 300};
+    const Trace trace = {a, b, a, b, a, b};
+    CacheConfig config;
+    config.indexBits = 13;
+    const CcPathCounts paths =
+        pinnedPaths(machineAt(16), config, trace, "double");
+    EXPECT_EQ(paths.gangHits, 0u);
+    EXPECT_EQ(paths.exactMaskGangs, 0u);
 }
 
 TEST(CcWalkerPaths, FlaggedFramesRefuseTheClosedForms)

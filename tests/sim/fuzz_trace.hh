@@ -17,7 +17,8 @@
  * and on the direct cache, non-canonical ones where the frame period
  * is below the length), and a double-stream op is sometimes followed
  * by its first stream alone: the shapes the walker's canonical closed
- * forms answer.
+ * forms answer.  Past those come the shapes of its first-touch
+ * classification (appendClassifierShapes()).
  */
 
 #ifndef VCACHE_TESTS_SIM_FUZZ_TRACE_HH
@@ -25,6 +26,8 @@
 
 #include <cstdint>
 #include <cstdlib>
+#include <optional>
+#include <vector>
 
 #include "trace/access.hh"
 #include "util/rng.hh"
@@ -83,6 +86,91 @@ readingRef(Rng &rng, const VectorRef &first, std::uint64_t from)
     ref.stride = first.stride * static_cast<std::int64_t>(1 + rng.next() % 2);
     ref.length = 1 + rng.next() % first.length;
     return ref;
+}
+
+/**
+ * The shapes the CC walker's first-touch classification must get
+ * right, appended past every op above so those keep their draws:
+ * overlapping stride-1 streams; second streams that read the first
+ * stream's lines before it does and after it does, and that read an
+ * earlier second stream's lines; more fresh runs than the walker keeps
+ * records for, then re-reads of the oldest; ops shorter than the
+ * classification threshold (hashed); and a long op over a line such a
+ * short op hashed.
+ */
+inline void
+appendClassifierShapes(Rng &rng, Trace &trace, Addr frontier)
+{
+    const auto op_of = [](VectorRef x, std::optional<VectorRef> y) {
+        VectorOp op;
+        op.first = x;
+        op.second = y;
+        return op;
+    };
+    // A region of its own, so the shapes start from fresh lines.
+    const Addr region = frontier + 4096;
+    // Overlapping stride-1 streams, the second ahead of the first or
+    // behind it: x_i == y_j with i > j and with i <= j; and one whose
+    // streams meet at one index (x_0 == y_0, x read first).
+    trace.push_back(op_of(VectorRef{region + 1024, 1, 100},
+                          VectorRef{region + 1024, 3, 40}));
+    for (int n = 0; n < 2; ++n) {
+        const std::uint64_t len = 64 + rng.next() % 200;
+        const auto d = static_cast<std::int64_t>(rng.next() % len) -
+                       static_cast<std::int64_t>(len / 2);
+        trace.push_back(op_of(
+            VectorRef{region, 1, len},
+            VectorRef{static_cast<Addr>(static_cast<std::int64_t>(region) +
+                                        d),
+                      1, 1 + rng.next() % len}));
+    }
+    // Second streams over a strided first stream's lines: ahead (read
+    // before the first stream gets there), behind (read after),
+    // reversed (both), and over the previous op's second stream.
+    const std::int64_t s = 1 + static_cast<std::int64_t>(rng.next() % 5);
+    const std::uint64_t len = 80 + rng.next() % 150;
+    const VectorRef x{region + 2048, s, len};
+    const std::uint64_t lead = 1 + rng.next() % (len / 2);
+    const VectorRef ahead{x.element(lead), s, len - lead};
+    const VectorRef behind{x.base - static_cast<std::uint64_t>(s) * lead, s,
+                           len};
+    const VectorRef reversed{x.element(len - 1), -s, len};
+    trace.push_back(op_of(x, ahead));
+    trace.push_back(op_of(VectorRef{x.base + 7, s, len}, behind));
+    trace.push_back(op_of(VectorRef{x.base + 11, 2 * s, len}, reversed));
+    trace.push_back(op_of(VectorRef{x.base + 13, 3, len},
+                          VectorRef{reversed.element(lead), -2 * s,
+                                    len / 2}));
+    // More fresh runs than the walker keeps records for: each op
+    // leaves two.
+    Addr fresh = region + 16384;
+    std::vector<VectorOp> runs;
+    for (int n = 0; n < 12; ++n) {
+        const std::uint64_t t = 1 + rng.next() % 7;
+        const std::uint64_t l = 64 + rng.next() % 64;
+        const auto stride = static_cast<std::int64_t>(t);
+        const VectorRef a{fresh, stride, l};
+        const VectorRef b{fresh + t * l + 1, stride + 1, l / 2};
+        fresh += (t + 1) * l + 64;
+        runs.push_back(op_of(a, b));
+        trace.push_back(runs.back());
+    }
+    // The oldest again, now hashed, and a long op across several.
+    trace.push_back(runs[0]);
+    trace.push_back(op_of(VectorRef{runs[1].first.base, 1, 400}, {}));
+    // Ops below the classification threshold, single and double,
+    // hashing lines inside later long ops' reach.
+    for (int n = 0; n < 6; ++n) {
+        const Addr at = region + 2048 + rng.next() % 600;
+        const std::uint64_t l = 1 + rng.next() % 20;
+        std::optional<VectorRef> y;
+        if (n % 2 == 1)
+            y = VectorRef{at + 300 + rng.next() % 50, 1, l};
+        trace.push_back(op_of(VectorRef{at, s, l}, y));
+    }
+    trace.push_back(op_of(VectorRef{region + 1900, 2, 300},
+                          VectorRef{region + 2200, 1, 100}));
+    trace.push_back(op_of(x, reversed));
 }
 
 /** One seeded op stream (see the file comment). */
@@ -159,6 +247,7 @@ fuzzTrace(std::uint64_t seed)
         if (op.second && rng.bernoulli(0.3))
             trace.push_back(VectorOp{op.first, {}, {}});
     }
+    appendClassifierShapes(rng, trace, frontier);
     return trace;
 }
 

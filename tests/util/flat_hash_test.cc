@@ -71,6 +71,25 @@ TEST(FlatSet, ReserveAvoidsRehashAndKeepsEntries)
     EXPECT_EQ(set.capacity(), cap);
 }
 
+TEST(FlatSet, ReserveOnGrowthAllocatesAtTheFirstInsert)
+{
+    FlatSet<std::uint64_t> set;
+    set.reserveOnGrowth(1000);
+    EXPECT_EQ(set.capacity(), 0u) << "allocated before any insert";
+    set.insert(5);
+    const std::size_t cap = set.capacity();
+    EXPECT_GE(cap, 2000u); // the pending size, at load <= 1/2
+    for (std::uint64_t i = 0; i < 1000; ++i)
+        set.insert(i * 977);
+    EXPECT_EQ(set.capacity(), cap) << "reserved table rehashed";
+    EXPECT_TRUE(set.contains(5));
+    EXPECT_EQ(set.size(), 1001u);
+    // Once taken, the pending size is spent: growth doubles again.
+    for (std::uint64_t i = 0; i < 2 * cap; ++i)
+        set.insert(3 + i * 977);
+    EXPECT_EQ(set.size(), 1001u + 2 * cap);
+}
+
 TEST(FlatSet, ClearKeepsCapacity)
 {
     FlatSet<std::uint64_t> set;
