@@ -346,6 +346,33 @@ BENCHMARK_CAPTURE(BM_BatchedMmSimulator, scalar, SimEngine::Scalar);
 BENCHMARK_CAPTURE(BM_BatchedMmSimulator, batched, SimEngine::Auto);
 
 /**
+ * The MM strip loop alone: a VCM trace at P_ds = 1 on the M = 32
+ * machine.  Both streams of every op span the whole op, so no op has
+ * a single-stream tail and every element issues through the strip
+ * loop, whichever the engine; this row tracks the loop's cost.
+ */
+void
+BM_DoubleStreamMmSimulator(benchmark::State &state)
+{
+    static const Trace trace = [] {
+        VcmParams vcm;
+        vcm.pDoubleStream = 1.0;
+        vcm.maxStride = 32;
+        vcm.blocks = 4;
+        return generateVcmTrace(vcm, 17);
+    }();
+    const auto n = totalElements(trace);
+    MmSimulator sim(paperMachineM32());
+    for (auto _ : state) {
+        sim.reset();
+        benchmark::DoNotOptimize(sim.run(trace));
+    }
+    state.SetItemsProcessed(
+        static_cast<std::int64_t>(state.iterations() * n));
+}
+BENCHMARK(BM_DoubleStreamMmSimulator);
+
+/**
  * The sampled engine on its target workload: a long trace on a
  * machine the run-batched fast-forward refuses (skewed bank mapping
  * for MM, XOR-mapped cache for CC), where forced scalar replay is the

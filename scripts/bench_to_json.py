@@ -176,6 +176,10 @@ def main(argv: list[str]) -> None:
             rate_of("BM_BatchedMmSimulator/batched"),
         "mm_batched_scalar_elements_per_s":
             rate_of("BM_BatchedMmSimulator/scalar"),
+        # The MM strip loop on a VCM trace at P_ds = 1, where every
+        # element issues through it.
+        "mm_double_stream_elements_per_s":
+            rate_of("BM_DoubleStreamMmSimulator"),
         # Two alternating ops the run memo cannot certify: the
         # auto/scalar ratio is the SIMD gang speedup on this host; CI
         # gates it (see the bench-baseline job).

@@ -1,6 +1,7 @@
 #include "memory/interleaved.hh"
 
 #include <algorithm>
+#include <bit>
 
 #include "numtheory/gcd.hh"
 #include "numtheory/primality.hh"
@@ -66,11 +67,33 @@ InterleavedMemory::issueStripRun(Cycles gap, std::uint64_t mvl,
                                  std::uint64_t length, Cycles &clock,
                                  Cycles &stall)
 {
-    const std::uint64_t q = m / gcd(floorMod(stride, m), m);
+    // The bank step per element and the bank period Q.  With 2^b
+    // banks the gcd is the stride's lowest set bit (Q = 1 for a
+    // stride that is a multiple of M), and Q is a power of two, so
+    // dividing by it is a shift.
+    std::uint64_t bank_step = 0;
+    std::uint64_t q = 1;
+    if (mapping == BankMapping::LowOrder) {
+        bank_step = static_cast<std::uint64_t>(stride) & (m - 1);
+        if (bank_step != 0)
+            q = m >> std::countr_zero(bank_step);
+    } else {
+        bank_step = floorMod(stride, m);
+        q = m / gcd(bank_step, m);
+    }
+    const bool pow2 = std::has_single_bit(q);
+    const unsigned q_shift = static_cast<unsigned>(std::countr_zero(q));
+    const auto divQ = [&](std::uint64_t i) {
+        return pow2 ? i >> q_shift : i / q;
+    };
+    const auto modQ = [&](std::uint64_t i) {
+        return pow2 ? i & (q - 1) : i % q;
+    };
+
     const bool conflicted = tm > q;
     // Cycle offset of within-strip element i from its strip's start.
     const auto issueOffset = [&](std::uint64_t i) -> Cycles {
-        return conflicted ? (i % q) + (i / q) * tm : i;
+        return conflicted ? modQ(i) + divQ(i) * tm : i;
     };
 
     const std::uint64_t strips = (length + mvl - 1) / mvl;
@@ -83,20 +106,42 @@ InterleavedMemory::issueStripRun(Cycles gap, std::uint64_t mvl,
 
     if (conflicted) {
         const Cycles per_revisit = tm - q;
-        stall += (strips - 1) * ((mvl - 1) / q) * per_revisit +
-                 ((last_count - 1) / q) * per_revisit;
+        stall += (strips - 1) * divQ(mvl - 1) * per_revisit +
+                 divQ(last_count - 1) * per_revisit;
     }
 
-    // Bank end state: the run touches min(q, length) distinct banks,
-    // one per residue class of the element index; each bank's busy
-    // horizon comes from its class's highest-index element.
+    // Bank end state: the last min(Q, length) elements touch distinct
+    // banks, one per residue class of the element index, and each is
+    // its class's highest-index element, so it sets its bank's busy
+    // horizon.  Walk them in index order by additions: the bank steps
+    // by the stride mod M, the within-strip offset by one cycle (or,
+    // conflicted, t_m - Q + 1 cycles to the next bank revisit), and
+    // the strip start by a full strip's span.  (The bank sum cannot
+    // wrap on PrimeModulo: canIssueStripRun() refuses a wrapping run.)
     const std::uint64_t touched = q < length ? q : length;
-    for (std::uint64_t r = 0; r < touched; ++r) {
-        const std::uint64_t k = r + ((length - 1 - r) / q) * q;
-        const Cycles start = first_start + (k / mvl) * full_span;
-        const Addr addr =
-            base + static_cast<std::uint64_t>(stride) * k;
-        busyUntil[bankOf(addr)] = start + issueOffset(k % mvl) + tm;
+    std::uint64_t k = length - touched;
+    std::uint64_t bank =
+        bankOf(base + static_cast<std::uint64_t>(stride) * k);
+    std::uint64_t within = k % mvl;
+    std::uint64_t residue = modQ(within);
+    Cycles start = first_start + (k / mvl) * full_span;
+    Cycles offset = issueOffset(within);
+    for (std::uint64_t n = 0; n < touched; ++n) {
+        busyUntil[bank] = start + offset + tm;
+        bank += bank_step;
+        if (bank >= m)
+            bank -= m;
+        if (++within == mvl) {
+            within = 0;
+            residue = 0;
+            offset = 0;
+            start += full_span;
+        } else if (conflicted && ++residue == q) {
+            residue = 0;
+            offset += tm - q + 1;
+        } else {
+            ++offset;
+        }
     }
 
     clock = last_start + issueOffset(last_count - 1) + 1;

@@ -147,7 +147,11 @@ class InterleavedMemory
      * Q = M / gcd(stride mod M, M) elements, so within a strip element
      * i issues at (i mod Q) + floor(i / Q) * t_m when t_m > Q (each
      * bank revisit waits out the previous access) and at i otherwise:
-     * O(1) for the clock and stall, O(min(Q, length)) for the horizons.
+     * O(1) for the clock and stall, O(min(Q, length)) additions for
+     * the horizons (the last min(Q, length) elements, one per bank,
+     * stepped in index order).  On LowOrder the per-call setup divides
+     * nothing either: Q = M >> ctz(stride mod M), and dividing by Q is
+     * a shift.
      *
      * Requires canIssueStripRun(gap, ...) and every bank free by
      * clock + gap (true whenever each earlier issue at cycle w was

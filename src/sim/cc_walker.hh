@@ -27,10 +27,10 @@
  * The first four are *countable* events: each costs a lane a
  * per-lane constant.  A lone lane takes each as it happens; for many
  * lanes the walker only counts them (CcEvents), and each lane absorbs
- * a run of them as one multiply-add chain.  The last two are
- * *clock-coupled*: they consult a bank horizon at the lane's own
- * clock, so the walker first flushes its counts into every lane, and
- * each lane then resolves the miss against its own bank replica.
+ * a run of them at once.  The last two are *clock-coupled*: they
+ * consult a bank horizon at the lane's own clock, so each lane first
+ * absorbs the counts and then resolves the miss against its own bank
+ * replica.
  *
  * Bus inertness: without prefetching no read ever waits for a bus.
  * Every read issues at the pipeline clock, and a read granted at
@@ -144,7 +144,12 @@
  * simulateCcGang.  Observer hooks and timed prefetch exist only on
  * the one-lane instantiation, under `if constexpr`; they see every
  * element, so they force element-wise replay (no gang probe, no
- * memo).
+ * memo).  Many lanes meet a clock-coupled miss in one pass over the
+ * live lanes, in lane order, each absorbing the counts and issuing
+ * its bank (coupledIssue()); counts of hits and blocking misses alone
+ * -- the usual case between two second-stream misses of a head --
+ * skip the op and strip terms (CcLane::addAccesses()).  flush()
+ * applies the counts before a cold pass and at the end of a run.
  */
 
 #ifndef VCACHE_SIM_CC_WALKER_HH
@@ -231,9 +236,16 @@ struct CcLane
     add(const CcEvents &e)
     {
         clock += e.ops * blockOverhead + e.coldStrips * coldStrip +
-                 e.warmStrips * warmStrip + e.hits +
-                 e.blocking * (1 + memoryTime);
-        stall += e.blocking * memoryTime;
+                 e.warmStrips * warmStrip;
+        addAccesses(e.hits, e.blocking);
+    }
+
+    /** Absorb hits and blocking misses alone: add()'s last two terms. */
+    VCACHE_ALWAYS_INLINE void
+    addAccesses(std::uint64_t hits, std::uint64_t blocking)
+    {
+        clock += hits + blocking * (1 + memoryTime);
+        stall += blocking * memoryTime;
     }
 
     /**
@@ -1807,7 +1819,6 @@ class CcWalker
                 StreamOperand operand)
     {
         if constexpr (Lanes != LaneCount::Zero) {
-            flush();
             // Every lane's banks share the machine's bank bits and
             // mapping, so one replica's bankOf() serves them all.
             const std::uint64_t bank = lanes[0].memory.bankOf(addr);
@@ -1824,10 +1835,32 @@ class CcWalker
                                            : MissKind::NonBlocking,
                                wait, operand);
             } else {
-                for (CcLane &l : lanes)
-                    if (!l.dead)
-                        l.load(bank, l.clock, obs);
+                coupledIssue(bank);
             }
+        }
+    }
+
+    /**
+     * Many lanes: apply the pending events and issue the bank in one
+     * pass over the live lanes, in lane order.  Between two compulsory
+     * misses of a head the pending events are usually hits and
+     * blocking misses alone, which a lane absorbs without add()'s op
+     * and strip terms.
+     */
+    VCACHE_ALWAYS_INLINE void
+    coupledIssue(std::uint64_t bank)
+    {
+        const CcEvents e = pending;
+        pending = CcEvents{};
+        const bool accesses_only = (e.ops | e.coldStrips | e.warmStrips) == 0;
+        for (CcLane &l : lanes) {
+            if (l.dead)
+                continue;
+            if (accesses_only)
+                l.addAccesses(e.hits, e.blocking);
+            else
+                l.add(e);
+            l.load(bank, l.clock, obs);
         }
     }
 

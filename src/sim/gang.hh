@@ -14,9 +14,11 @@
  * simulateCcGang() is the N-lane instantiation of the CC walker
  * (sim/cc_walker.hh, which states the timing rules): one walk, with
  * the cold pass, the gang probe and the run memo, over one shared
- * cache.  Countable events land in every lane as one multiply-add
- * chain; each compulsory miss is resolved against every lane's own
- * bank replica, and a cold pass times each lane in closed form.
+ * cache.  Countable events are counted once and land in every lane
+ * at its next compulsory miss, in the same pass over the lanes that
+ * resolves the miss against each lane's own bank replica (hits and
+ * blocking misses alone through CcLane::addAccesses()); a cold pass
+ * times each lane in closed form.
  * Each lane's SimResult is therefore bit-identical to a solo
  * CcSimulator run of that t_m (tests/sim/gang_test.cc and
  * tests/sim/cc_fuzz_test.cc hold the line), at roughly the cost of

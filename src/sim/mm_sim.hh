@@ -17,13 +17,16 @@
  * every vector op, bank issue/conflict and bus wait with cycle
  * stamps.  The only engine choice is made per op, before its first
  * strip: fast-forward the op's single-stream tail in closed form, or
- * issue every element.
+ * issue every element.  The strip loop keeps its clock and stall in
+ * registers and steps both addresses by their strides; the machine's
+ * clock and the result are written once per strip.
  *
  * Run batching (SimEngine::Auto, the default for uninstrumented
  * runs): for a single constant-stride stream the whole conflict
  * pattern is linear-congruence structure, and
  * InterleavedMemory::issueStripRun() times the whole op in O(1) plus
- * O(Q) exact end-state absorption, Q the bank period of the stride.
+ * O(Q) additions of exact end-state absorption, Q the bank period of
+ * the stride.
  * That closed form is the one the CC walker's cold pass uses too (a
  * compulsory miss pipelines through the banks like an MM access), and
  * InterleavedMemory::canIssueStripRun() is its one eligibility
@@ -133,33 +136,49 @@ MmSimulator::issueStrip(const VectorRef &first, const VectorRef *second,
                         std::uint64_t offset, std::uint64_t count,
                         SimResult &result, Observer &obs)
 {
+    // The strip's clock and stall live in registers: the member and
+    // the result are written once, after the last element (a fault
+    // thrown mid-strip loses them, but every caller then discards the
+    // machine).  Both addresses step by their strides.
+    Cycles now = clock;
+    Cycles stalled = 0;
+    const auto step1 = static_cast<Addr>(first.stride);
+    Addr a1 = first.element(offset);
+    // The second (shorter) vector's elements within this strip.
+    std::uint64_t count2 = 0;
+    Addr a2 = 0;
+    Addr step2 = 0;
+    if (second && offset < second->length) {
+        count2 = std::min(count, second->length - offset);
+        a2 = second->element(offset);
+        step2 = static_cast<Addr>(second->stride);
+    }
     for (std::uint64_t i = 0; i < count; ++i) {
-        Cycles ready = clock;
+        Cycles ready = now;
 
         // Stream 1 element.
         {
-            const Addr a = first.element(offset + i);
             Cycles bus = ready;
             if constexpr (Observer::kEnabled)
                 bus = buses.reserveReadObserved(ready, obs);
-            const Cycles when = memory.issueObserved(a, bus, obs);
-            ready = std::max(ready, when);
+            ready = std::max(ready, memory.issueObserved(a1, bus, obs));
+            a1 += step1;
         }
-        // Stream 2 element, if this strip belongs to a double-stream
-        // op and the second (shorter) vector still has elements.
-        if (second && offset + i < second->length) {
-            const Addr a = second->element(offset + i);
-            Cycles bus = clock;
+        // Stream 2 element, while the second vector has elements.
+        if (i < count2) {
+            Cycles bus = now;
             if constexpr (Observer::kEnabled)
-                bus = buses.reserveReadObserved(clock, obs);
-            const Cycles when = memory.issueObserved(a, bus, obs);
-            ready = std::max(ready, when);
+                bus = buses.reserveReadObserved(now, obs);
+            ready = std::max(ready, memory.issueObserved(a2, bus, obs));
+            a2 += step2;
         }
 
-        result.stallCycles += ready - clock;
-        clock = ready + 1; // in-order pipeline: next issue slot
-        ++result.results;
+        stalled += ready - now;
+        now = ready + 1; // in-order pipeline: next issue slot
     }
+    clock = now;
+    result.stallCycles += stalled;
+    result.results += count;
 }
 
 template <typename Observer>

@@ -162,6 +162,15 @@ class BenchToJsonTest(unittest.TestCase):
         self.assertEqual(summary["cc_fft_prime_scalar_elements_per_s"],
                          3e7)
 
+    def test_double_stream_mm_key(self):
+        raw = {"benchmarks": [
+            bench("BM_DoubleStreamMmSimulator", 2e8, 1.0)]}
+        with tempfile.TemporaryDirectory() as d:
+            proc, out = run_script(raw, d)
+        self.assertEqual(proc.returncode, 0, proc.stderr)
+        self.assertEqual(out["summary"]["mm_double_stream_elements_per_s"],
+                         2e8)
+
     def test_missing_build_type_is_null_with_warning(self):
         raw = {"context": {"library_build_type": "debug"},
                "benchmarks": [bench("BM_X", 1.0, 1.0)]}

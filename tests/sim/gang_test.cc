@@ -9,9 +9,11 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "cancelling_source.hh"
 #include "core/defaults.hh"
 #include "sim/evaluate.hh"
 #include "sim/gang.hh"
@@ -138,26 +140,101 @@ TEST(GangCc, EmptyLaneListReturnsEmpty)
     EXPECT_TRUE(gang.empty());
 }
 
+/**
+ * A walked double-stream head whose second stream misses cold on every
+ * element: its first compulsory miss in each strip finds a strip
+ * start-up pending, the rest find only the first stream's hits (lines
+ * 32..127) or blocking misses (lines 0..31, evicted by the second op).
+ */
+Trace
+coupledMissTrace()
+{
+    Trace trace;
+    VectorOp op;
+    op.first = VectorRef{0, 1, 128};
+    trace.push_back(op);
+    op.first = VectorRef{8192, 1, 32};
+    trace.push_back(op);
+    op.first = VectorRef{0, 1, 128};
+    op.second = VectorRef{(1u << 20) + 4096, 1, 128};
+    trace.push_back(op);
+    op.first = VectorRef{0, 2, 256};
+    op.second = VectorRef{(1u << 21) + 4096, 3, 200};
+    trace.push_back(op);
+    return trace;
+}
+
+TEST(GangCc, CoupledMissesMatchScalarWithEitherEventsPending)
+{
+    const Trace trace = coupledMissTrace();
+    std::vector<GangLane> lanes;
+    for (std::uint64_t tm : {1, 3, 16, 40, 64})
+        lanes.push_back(GangLane{tm, nullptr});
+    for (CacheScheme scheme : {CacheScheme::Direct, CacheScheme::Prime}) {
+        TraceVectorSource source(trace);
+        CcPathCounts paths;
+        const auto gang = simulateCcGang(paperMachineM64(), scheme,
+                                         source, lanes, &paths);
+        // Both double-stream ops are walked element by element.
+        EXPECT_GE(paths.elementWiseOps, 2u);
+        ASSERT_EQ(gang.size(), lanes.size());
+        for (std::size_t i = 0; i < lanes.size(); ++i) {
+            MachineParams solo = paperMachineM64();
+            solo.memoryTime = lanes[i].memoryTime;
+            TraceVectorSource scalar(trace);
+            const SimResult want = simulateCc(solo, scheme, scalar,
+                                              nullptr, SimEngine::Scalar);
+            ASSERT_TRUE(gang[i].ok());
+            // Every second-stream read is a first touch, as are the
+            // last op's first-stream reads past line 127.
+            EXPECT_EQ(gang[i].value().compulsoryMisses,
+                      128u + 32u + 128u + (192u + 200u));
+            expectSameSim(gang[i].value(), want,
+                          "tm=" + std::to_string(lanes[i].memoryTime));
+        }
+    }
+}
+
 TEST(GangCc, CancelledLaneDoesNotDisturbNeighbours)
 {
-    const Trace trace = constantStrideTrace(2, 2048, 4);
-    CancelToken dead;
-    dead.requestCancel(CancelToken::Reason::Timeout);
-    std::vector<GangLane> lanes = {
-        {4, nullptr}, {16, &dead}, {64, nullptr}};
-    TraceVectorSource source(trace);
-    const auto gang = simulateCcGang(paperMachineM64(),
-                                     CacheScheme::Direct, source, lanes);
-    ASSERT_EQ(gang.size(), 3u);
-    ASSERT_FALSE(gang[1].ok());
-    EXPECT_EQ(gang[1].error().code, Errc::Timeout);
-    for (std::size_t i : {std::size_t{0}, std::size_t{2}}) {
-        MachineParams solo = paperMachineM64();
-        solo.memoryTime = lanes[i].memoryTime;
-        ASSERT_TRUE(gang[i].ok());
-        expectSameSim(gang[i].value(),
-                      simulateCc(solo, CacheScheme::Direct, trace),
-                      "lane " + std::to_string(i));
+    // The middle lane is cancelled before the walk, or mid-walk: its
+    // token trips before op 2 of coupledMissTrace(), after the gang has
+    // already issued compulsory misses for it.
+    struct Case
+    {
+        Trace trace;
+        std::optional<std::uint64_t> tripAt; // none: before the walk
+    };
+    const Case cases[] = {{constantStrideTrace(2, 2048, 4), std::nullopt},
+                          {coupledMissTrace(), 2}};
+    for (const auto &[trace, trip_at] : cases) {
+        CancelToken token;
+        if (!trip_at)
+            token.requestCancel(CancelToken::Reason::Timeout);
+        const std::vector<GangLane> lanes = {
+            {4, nullptr}, {16, &token}, {64, nullptr}};
+        TraceVectorSource stream(trace);
+        CancellingSource source(stream, token,
+                                trip_at.value_or(UINT64_MAX));
+        const auto gang = simulateCcGang(
+            paperMachineM64(), CacheScheme::Direct, source, lanes);
+        const std::string what =
+            trip_at ? "tripped at op 2" : "cancelled before the walk";
+        ASSERT_EQ(gang.size(), 3u) << what;
+        ASSERT_FALSE(gang[1].ok()) << what;
+        EXPECT_EQ(gang[1].error().code,
+                  trip_at ? Errc::Cancelled : Errc::Timeout)
+            << what;
+        for (std::size_t i : {std::size_t{0}, std::size_t{2}}) {
+            MachineParams solo = paperMachineM64();
+            solo.memoryTime = lanes[i].memoryTime;
+            TraceVectorSource scalar(trace);
+            ASSERT_TRUE(gang[i].ok()) << what;
+            expectSameSim(gang[i].value(),
+                          simulateCc(solo, CacheScheme::Direct, scalar,
+                                     nullptr, SimEngine::Scalar),
+                          what + ", lane " + std::to_string(i));
+        }
     }
 }
 
